@@ -12,6 +12,7 @@ from .core import (
     edge_robustness,
     estimate_charge,
     path_robustness,
+    winding,
     wrap_diff,
 )
 from .errors import (

@@ -175,21 +175,7 @@ def _cmd_oracle(args) -> int:
 def _cmd_sweep(args) -> int:
     with open(args.config) as fh:
         raw = json.load(fh)
-    grid = raw.get("grid", {})
-    config = SweepConfig(
-        templates=tuple(builtin_template(n) for n in raw.get("templates", ["single", "2x2", "cross", "3x3", "3x3ext"])),
-        n_centers=int(raw.get("n_centers", 10_000)),
-        noise_amplitudes=tuple(raw.get("noise_amplitudes", (0.0, 0.2))),
-        n_noise_realizations=int(raw.get("n_noise_realizations", 10)),
-        base_seed=int(raw.get("base_seed", args.seed)),
-        nx=int(grid.get("nx", 32)),
-        ny=int(grid.get("ny", 32)),
-        h=float(grid.get("h", 1.0)),
-        mode=PeriodMode.from_name(raw.get("mode", "nematic")),
-        charge=Fraction(str(raw.get("charge", "1/2"))),
-        phase=float(raw.get("phase", 0.0)),
-        oracle_density=int(raw.get("oracle_density", 200)),
-    )
+    config = SweepConfig.from_mapping(raw, base_seed=args.seed)
     result = run_sweep(config)
     rank = normalize_and_rank(result)
     write_report(result, args.out)

@@ -10,6 +10,9 @@ The robustness of a charge estimate is the smallest distance, over path
 edges, of the edge's angle difference to the nearest wrap discontinuity
 P/2 + k*P.  It is the largest per-edge orientation change that cannot alter
 the estimate.
+
+``winding`` is the one place where the wrapped edge differences are summed
+and quantized and their per-edge robustness computed, for one path or many.
 """
 from __future__ import annotations
 
@@ -37,6 +40,11 @@ class PeriodMode(Enum):
     def period(self) -> float:
         return math.pi if self is PeriodMode.NEMATIC else 2.0 * math.pi
 
+    @property
+    def periods_per_turn(self) -> int:
+        """Periods P in one full turn: a winding of k periods is charge k / periods_per_turn."""
+        return 2 if self is PeriodMode.NEMATIC else 1
+
     @classmethod
     def from_name(cls, name: str) -> "PeriodMode":
         try:
@@ -60,9 +68,11 @@ def canonicalize(angle, mode: PeriodMode):
     """
     arr = _as_finite_array(angle, "angle")
     p = mode.period
-    out = arr - p * np.floor(arr / p)
-    # floor can land on p for tiny negative inputs; fold back into range
-    out = np.where(out >= p, out - p, out)
+    out = np.asarray(arr - p * np.floor(arr / p))
+    # Tiny negative inputs leave [0, p): arr / p underflows to -0.0, or floor
+    # gives -1 and out rounds to p.  Fold in place; sweeps pass every sample.
+    np.add(out, p, out=out, where=out < 0)
+    np.subtract(out, p, out=out, where=out >= p)
     if np.ndim(angle) == 0:
         return float(out)
     return out
@@ -213,14 +223,40 @@ class RobustnessReport:
     """Per-edge robustness values along a closed path, in traversal order.
 
     ``path_robustness`` is the minimum entry; ``min_edge`` gives the endpoints
-    of an edge attaining it.  ``normalized`` (robustness divided by template
-    resolution) is filled by the experiments layer when applicable.
+    of an edge attaining it.
     """
 
     per_edge: np.ndarray
     path_robustness: float
     min_edge: tuple
-    normalized: float | None = None
+
+
+def winding(theta, mode: PeriodMode):
+    """Winding sums and per-edge robustness of closed paths, over the last axis.
+
+    ``theta`` holds each path's vertex angles in traversal order, the first
+    vertex following the last.  Returns ``(raw_sum, k, residual, per_edge)``:
+    the sum of the wrapped successor differences, that sum in periods P
+    rounded to int64 (charge ``k / mode.periods_per_turn``), ``raw_sum - k*P``,
+    and ``P/2 - |wrapped difference|`` per edge.  Raises QuantizationFailure
+    if any |residual| reaches QUANTIZATION_TOL.
+    """
+    theta = np.asarray(theta, dtype=float)
+    p = mode.period
+    # Preallocated: np.roll or np.diff(append=) copy theta once more per call.
+    d = np.empty_like(theta)
+    np.subtract(theta[..., 1:], theta[..., :-1], out=d[..., :-1])
+    np.subtract(theta[..., 0], theta[..., -1], out=d[..., -1])
+    d = wrap_diff(d, mode)
+    raw = np.sum(d, axis=-1)
+    k = np.rint(raw / p)
+    residual = raw - k * p
+    bad = np.abs(residual).max(initial=0.0)
+    if bad >= QUANTIZATION_TOL:
+        raise QuantizationFailure(f"winding residual {bad} above tolerance")
+    np.abs(d, out=d)
+    np.subtract(p / 2.0, d, out=d)
+    return raw, k.astype(np.int64), residual, d
 
 
 def _path_angles(field: OrientationField, path: LatticePath) -> np.ndarray:
@@ -241,30 +277,17 @@ def estimate_charge(field: OrientationField, path: LatticePath) -> ChargeEstimat
     Counterclockwise traversal around a positive defect yields a positive
     charge.
     """
-    theta = _path_angles(field, path)
-    diffs = wrap_diff(np.roll(theta, -1) - theta, field.mode)
-    raw = float(np.sum(diffs))
-    if field.mode is PeriodMode.NEMATIC:
-        k = int(np.rint(raw / math.pi))
-        charge = Fraction(k, 2)
-        residual = raw - k * math.pi
-    else:
-        k = int(np.rint(raw / (2.0 * math.pi)))
-        charge = Fraction(k)
-        residual = raw - k * 2.0 * math.pi
-    if abs(residual) >= QUANTIZATION_TOL:
-        raise QuantizationFailure(f"winding sum {raw} has residual {residual} above tolerance")
+    raw, k, residual, _ = winding(_path_angles(field, path), field.mode)
     ii = [v[0] for v in path.vertices]
     jj = [v[1] for v in path.vertices]
     anchor = (sum(ii) / len(ii), sum(jj) / len(jj))
-    return ChargeEstimate(charge=charge, anchor=anchor, raw_sum=raw, residual=residual, mode=field.mode)
+    return ChargeEstimate(charge=Fraction(int(k), field.mode.periods_per_turn), anchor=anchor,
+                          raw_sum=float(raw), residual=float(residual), mode=field.mode)
 
 
 def path_robustness(field: OrientationField, path: LatticePath) -> RobustnessReport:
     """Per-edge and minimum robustness of the charge estimate along ``path``."""
-    theta = _path_angles(field, path)
-    p = field.mode.period
-    per_edge = p / 2.0 - np.abs(wrap_diff(np.roll(theta, -1) - theta, field.mode))
+    _, _, _, per_edge = winding(_path_angles(field, path), field.mode)
     k = int(np.argmin(per_edge))
     return RobustnessReport(
         per_edge=per_edge,

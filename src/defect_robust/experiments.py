@@ -21,10 +21,11 @@ from fractions import Fraction
 
 import numpy as np
 
-from .core import OrientationField, PeriodMode, canonicalize, wrap_diff
-from .errors import QuantizationFailure, SweepFailure
+from .core import OrientationField, PeriodMode, canonicalize, winding
+from .core import wrap_diff  # unused here, but bench/tracing.py patches experiments.wrap_diff
+from .errors import SweepFailure
 from .synthesis import _validate_charge, counter_uniform, derive_seed
-from .templates import Placement, Template, builtin_template, center_placement
+from .templates import BUILTIN_TEMPLATE_NAMES, Placement, Template, builtin_template, center_placement
 
 # Stream tags for sub-seed derivation.
 _STREAM_CENTER_X = 1
@@ -42,6 +43,30 @@ class IntervalEstimate:
     lower: float
     upper: float
     n_oracle_samples: int
+
+
+#: Sweep JSON keys and how each value becomes a ``SweepConfig`` field; the
+#: ``grid`` object is parsed with its own keys.
+_SWEEP_JSON = {
+    "templates": tuple, "n_centers": int, "noise_amplitudes": tuple, "n_noise_realizations": int,
+    "base_seed": int, "mode": PeriodMode.from_name, "charge": lambda v: Fraction(str(v)),
+    "phase": float, "oracle_density": int, "grid": lambda grid: grid,
+}
+_SWEEP_JSON_GRID = {"nx": int, "ny": int, "h": float}
+
+
+def _json_fields(raw, fields: dict, where: str) -> dict:
+    if not isinstance(raw, dict):
+        raise ValueError(f"{where} must be a JSON object, not {type(raw).__name__}")
+    out = {}
+    for key, value in raw.items():
+        if key not in fields:
+            raise ValueError(f"unknown key {key!r} in {where}; known: {', '.join(fields)}")
+        try:
+            out[key] = fields[key](value)
+        except (TypeError, ValueError, AttributeError) as exc:
+            raise ValueError(f"bad value {value!r} for {key!r} in {where}: {exc}") from None
+    return out
 
 
 @dataclass(frozen=True)
@@ -82,6 +107,16 @@ class SweepConfig:
                     f"grid {self.nx}x{self.ny} cannot hold template {t.name!r} "
                     f"with a 1-cell margin")
 
+    @classmethod
+    def from_mapping(cls, raw, base_seed: int = 0) -> "SweepConfig":
+        """Config from a parsed sweep JSON object, keyed as the fields with ``nx``,
+        ``ny``, ``h`` in a ``grid`` object.  Missing keys take the defaults (all
+        builtin templates, ``base_seed``); unknown keys and non-objects raise ValueError.
+        """
+        values = _json_fields(raw, _SWEEP_JSON, "sweep config")
+        grid = _json_fields(values.pop("grid", {}), _SWEEP_JSON_GRID, "sweep config 'grid'")
+        return cls(**{"templates": BUILTIN_TEMPLATE_NAMES, "base_seed": base_seed, **values, **grid})
+
 
 @dataclass
 class SampleBlock:
@@ -95,24 +130,6 @@ class SampleBlock:
     charge: np.ndarray
     robustness: np.ndarray
     normalized: np.ndarray
-
-    def summary(self) -> dict:
-        r = self.robustness
-        return {
-            "min": float(np.min(r)),
-            "max": float(np.max(r)),
-            "mean": float(np.mean(r)),
-            "stddev": float(np.std(r)),
-        }
-
-    def normalized_summary(self) -> dict:
-        r = self.normalized
-        return {
-            "min": float(np.min(r)),
-            "max": float(np.max(r)),
-            "mean": float(np.mean(r)),
-            "stddev": float(np.std(r)),
-        }
 
 
 @dataclass
@@ -177,28 +194,6 @@ def _clean_vertex_angles(verts_xy: np.ndarray, centers_xy: np.ndarray, q: float,
     return canonicalize(q * np.arctan2(dy, dx) + phase, mode)
 
 
-def _path_stats(theta: np.ndarray, mode: PeriodMode):
-    """Winding sums and robustness over the last axis (closed-path vertices).
-
-    Returns (raw_sum, charge_numerator, residual, robustness); the charge
-    numerator counts half-turns for nematic fields, full turns for polar.
-    """
-    p = mode.period
-    diffs = wrap_diff(np.roll(theta, -1, axis=-1) - theta, mode)
-    raw = np.sum(diffs, axis=-1)
-    unit = math.pi if mode is PeriodMode.NEMATIC else 2.0 * math.pi
-    k = np.rint(raw / unit)
-    residual = raw - k * unit
-    robustness = np.min(p / 2.0 - np.abs(diffs), axis=-1)
-    return raw, k.astype(np.int64), residual, robustness
-
-
-def _check_residuals(residual: np.ndarray):
-    bad = float(np.max(np.abs(residual)))
-    if bad >= 1e-6:
-        raise QuantizationFailure(f"winding residual {bad} above tolerance")
-
-
 def _oracle_axis(center: float, density: int) -> np.ndarray:
     # Odd point count keeps the square boundary and its midpoint (the template
     # centroid) on-grid, where the extreme robustness values sit; grids nest
@@ -215,8 +210,7 @@ def analytic_path_robustness(template: Template, centers, q, mode: PeriodMode = 
     verts = np.asarray(template.boundary.vertices, dtype=float)
     centers = np.asarray(centers, dtype=float)
     theta = _clean_vertex_angles(verts, centers, float(Fraction(q)), 0.0, mode)
-    _, _, _, robustness = _path_stats(theta, mode)
-    return robustness
+    return np.min(winding(theta, mode)[3], axis=-1)
 
 
 def theoretical_interval(
@@ -309,7 +303,7 @@ def run_sweep(config: SweepConfig) -> SweepResult:
     agreement = {}
     placements = {}
     q = float(config.charge)
-    target_k = int(config.charge * 2) if config.mode is PeriodMode.NEMATIC else int(config.charge)
+    target_k = int(config.charge * config.mode.periods_per_turn)
 
     for template in config.templates:
         dummy = OrientationField(
@@ -338,21 +332,21 @@ def run_sweep(config: SweepConfig) -> SweepResult:
                     np.arange(config.n_centers)[:, None],
                     np.arange(nreal)[None, :],
                 )
-                u = counter_uniform(seeds[:, :, None], vflat[None, None, :])
-                theta = canonicalize(theta_clean[:, None, :] + amplitude * (2.0 * u - 1.0), config.mode)
+                # The noise stays unnamed, so numpy builds the noisy angles in its buffer.
+                theta = canonicalize(theta_clean[:, None, :] + amplitude * (
+                    2.0 * counter_uniform(seeds[:, :, None], vflat[None, None, :]) - 1.0), config.mode)
 
-            _, k, residual, robustness = _path_stats(theta, config.mode)
-            _check_residuals(residual)
+            _, k, _, per_edge = winding(theta, config.mode)
+            robustness = np.min(per_edge, axis=-1)
 
             n_samples = config.n_centers * nreal
-            charge_values = (k / 2.0) if config.mode is PeriodMode.NEMATIC else k.astype(float)
             block = SampleBlock(
                 template=template.name,
                 amplitude=float(amplitude),
                 sample_index=np.arange(n_samples),
                 center_x=np.repeat(cx, nreal),
                 center_y=np.repeat(cy, nreal),
-                charge=charge_values.reshape(-1),
+                charge=(k / config.mode.periods_per_turn).reshape(-1),
                 robustness=robustness.reshape(-1),
                 normalized=robustness.reshape(-1) / template.resolution,
             )

@@ -22,6 +22,9 @@ REPORT_COLUMNS = (
     "charge", "robustness", "normalized_robustness",
 )
 
+#: Statistics of the robustness and the normalized robustness in the summary.
+_SUMMARY_STATS = (("min", np.min), ("max", np.max), ("mean", np.mean), ("stddev", np.std))
+
 
 def _fmt(x: float) -> str:
     return f"{x:.17g}"
@@ -103,13 +106,10 @@ def write_summary(result: SweepResult, rank: RankReport, path):
         lines.append(f"{template.name}.oracle_upper = {_fmt(oracle.upper)}")
         for i, amp in enumerate(cfg.noise_amplitudes):
             block = result.block(template.name, amp)
-            stats = block.summary()
-            nstats = block.normalized_summary()
             prefix = f"{template.name}.amplitude_{i}"
-            for key, value in stats.items():
-                lines.append(f"{prefix}.robustness_{key} = {_fmt(value)}")
-            for key, value in nstats.items():
-                lines.append(f"{prefix}.normalized_{key} = {_fmt(value)}")
+            for name, values in (("robustness", block.robustness), ("normalized", block.normalized)):
+                for key, stat in _SUMMARY_STATS:
+                    lines.append(f"{prefix}.{name}_{key} = {_fmt(stat(values))}")
             lines.append(f"{prefix}.charge_agreement = {_fmt(result.agreement[(template.name, amp)])}")
             lines.append(f"{prefix}.n_samples = {len(block.sample_index)}")
     for i, amp in enumerate(cfg.noise_amplitudes):

@@ -97,12 +97,8 @@ class NoiseSpec:
 
 
 def _validate_charge(q: Fraction, mode: PeriodMode):
-    if mode is PeriodMode.NEMATIC:
-        if (2 * q).denominator != 1:
-            raise ValueError(f"nematic charge must be a multiple of 1/2, got {q}")
-    else:
-        if q.denominator != 1:
-            raise ValueError(f"polar charge must be an integer, got {q}")
+    if (q * mode.periods_per_turn).denominator != 1:
+        raise ValueError(f"{mode.value} charge must be a multiple of {Fraction(1, mode.periods_per_turn)}, got {q}")
 
 
 def synth_defect_field(

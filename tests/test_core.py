@@ -10,10 +10,12 @@ from defect_robust import (
     LatticePath,
     OrientationField,
     PeriodMode,
+    builtin_template,
     canonicalize,
     edge_robustness,
     estimate_charge,
     path_robustness,
+    winding,
     wrap_diff,
 )
 
@@ -207,3 +209,26 @@ class TestPathRobustness:
         f = OrientationField.from_angles(np.full((5, 5), 0.7), mode=NEM)
         rep = path_robustness(f, UNIT_SQUARE.translated((-2, -2)))
         assert rep.path_robustness == pytest.approx(math.pi / 2)
+
+
+class TestWinding:
+    @pytest.mark.parametrize("mode", [NEM, POL])
+    def test_batch_matches_single_path_functions(self, mode):
+        path = builtin_template("3x3ext").boundary.translated((1, 1))
+        ii = np.array([v[0] for v in path.vertices])
+        jj = np.array([v[1] for v in path.vertices])
+        rng = np.random.default_rng(5)
+        theta = rng.uniform(0, mode.period, (300, len(ii)))
+        raw, k, residual, per_edge = winding(theta, mode)
+        assert k.dtype == np.int64 and per_edge.shape == theta.shape
+        for n, row in enumerate(theta):
+            angles = np.zeros((jj.max() + 2, ii.max() + 2))
+            angles[jj, ii] = row
+            field = OrientationField.from_angles(angles, mode=mode)
+            est = estimate_charge(field, path)
+            rep = path_robustness(field, path)
+            assert est.charge * mode.periods_per_turn == k[n]
+            assert est.raw_sum == raw[n] and est.residual == residual[n]
+            assert np.array_equal(rep.per_edge, per_edge[n])
+            assert rep.min_edge == path.edge(int(np.argmin(per_edge[n])))
+        assert len(set(k.tolist())) > 3

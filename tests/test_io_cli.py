@@ -194,9 +194,12 @@ class TestCli:
         assert main(["robustness", "--field", str(bad), "--template", "single",
                      "--at", "0,0"]) == 2
         cfg = tmp_path / "bad.json"
-        cfg.write_text("{not json")
-        assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "r.csv"),
-                     "--summary", str(tmp_path / "s.txt")]) == 2
+        for text, named in [("{not json", "property name"), ('{"n_center": 5}', "'n_center'"),
+                            ('{"grid": {"nz": 4}}', "'nz'"), ("[1]", "list")]:
+            cfg.write_text(text)
+            assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "r.csv"),
+                         "--summary", str(tmp_path / "s.txt")]) == 2
+            assert named in capsys.readouterr().err
 
     def test_unknown_template_is_data_error(self, tmp_path, capsys):
         out = tmp_path / "f.orif"

@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from defect_robust import (
     LatticePath,
@@ -25,6 +25,8 @@ modes = st.sampled_from([NEM, POL])
 
 
 @given(angles, modes)
+@example(-5e-324, NEM)
+@example(-122.52211349000194, NEM)
 def test_canonicalize_idempotent_and_in_range(x, mode):
     c = canonicalize(x, mode)
     assert 0.0 <= c < mode.period
