@@ -2,8 +2,7 @@
 sweep / convergence.
 
 Exit codes: 0 success, 1 usage error, 2 data error.  All randomness is
-controlled by --seed (default 0).  DEFECT_ROBUST_THREADS may cap worker
-parallelism; results are deterministic and identical regardless of its value.
+controlled by --seed (default 0).
 """
 from __future__ import annotations
 

@@ -33,7 +33,16 @@ _STREAM_CENTER_Y = 2
 _STREAM_NOISE = 3
 
 _VERTEX_EXCLUSION = 1e-9
-_ORACLE_CHUNK = 200_000
+
+#: Elements in each (centers, [realizations,] vertices) array of one chunk, in
+#: the sweep and the oracle.  At this size each chunk's arrays fit in cache and
+#: reuse the memory the previous chunk freed; at 2**18 a sweep page-faulted 3x
+#: as often and ran no faster.
+_CHUNK_ELEMENTS = 1 << 16
+
+
+def _centers_per_chunk(elements_per_center: int) -> int:
+    return max(1, _CHUNK_ELEMENTS // elements_per_center)
 
 
 @dataclass(frozen=True)
@@ -231,14 +240,15 @@ def theoretical_interval(
     cx, cy = template.centroid
     xs = _oracle_axis(cx, oracle_density)
     ys = _oracle_axis(cy, oracle_density)
-    gx, gy = np.meshgrid(xs, ys)
-    centers = np.column_stack([gx.ravel(), gy.ravel()])
+    n_grid = len(xs) * len(ys)
+    step = _centers_per_chunk(len(verts))
 
     lower = math.inf
     upper = -math.inf
     kept = 0
-    for start in range(0, len(centers), _ORACLE_CHUNK):
-        chunk = centers[start:start + _ORACLE_CHUNK]
+    for start in range(0, n_grid, step):
+        idx = np.arange(start, min(start + step, n_grid))
+        chunk = np.column_stack([xs[idx % len(xs)], ys[idx // len(xs)]])
         d2 = np.min(
             (chunk[:, 0:1] - verts[:, 0]) ** 2 + (chunk[:, 1:2] - verts[:, 1]) ** 2,
             axis=1,
@@ -295,8 +305,15 @@ def run_sweep(config: SweepConfig) -> SweepResult:
     For each template, centers are sampled in its central unit square (the
     same center set is reused across all noise amplitudes, so noisy and clean
     robustness are paired per sample index).  Noise keys derive from
-    (base_seed, center index, realization index), so any sample can be
-    recomputed in isolation.
+    (base_seed, center index, realization index) and the counter is the
+    vertex, so any sample can be recomputed in isolation.  The amplitude is
+    not in the key: every amplitude scales one uniform draw per (center,
+    realization, vertex).  These common random numbers pair the per-amplitude
+    comparisons as the shared centers pair noisy with clean.
+
+    Centers are evaluated in chunks of ``_CHUNK_ELEMENTS`` /
+    (n_noise_realizations * n_vertices), so the intermediate arrays stay the
+    same size whatever ``n_centers``; only the returned blocks grow with it.
     """
     blocks = {}
     oracles = {}
@@ -304,6 +321,11 @@ def run_sweep(config: SweepConfig) -> SweepResult:
     placements = {}
     q = float(config.charge)
     target_k = int(config.charge * config.mode.periods_per_turn)
+    nreal = config.n_noise_realizations
+    noisy = any(a != 0.0 for a in config.noise_amplitudes)
+    if noisy:
+        seeds = derive_seed(config.base_seed, _STREAM_NOISE, np.arange(config.n_centers)[:, None],
+                            np.arange(nreal)[None, :])
 
     for template in config.templates:
         dummy = OrientationField(
@@ -318,40 +340,42 @@ def run_sweep(config: SweepConfig) -> SweepResult:
         vflat = np.array([j * config.nx + i for i, j in placement.path().vertices])
         cx, cy = _draw_centers(config, placement)
         centers = np.column_stack([cx, cy])
-        theta_clean = _clean_vertex_angles(verts, centers, q, config.phase, config.mode)
 
-        for amplitude in config.noise_amplitudes:
-            if amplitude == 0.0:
-                theta = theta_clean[:, None, :]
-                nreal = 1
-            else:
-                nreal = config.n_noise_realizations
-                seeds = derive_seed(
-                    config.base_seed,
-                    _STREAM_NOISE,
-                    np.arange(config.n_centers)[:, None],
-                    np.arange(nreal)[None, :],
-                )
-                # The noise stays unnamed, so numpy builds the noisy angles in its buffer.
-                theta = canonicalize(theta_clean[:, None, :] + amplitude * (
-                    2.0 * counter_uniform(seeds[:, :, None], vflat[None, None, :]) - 1.0), config.mode)
+        # Per amplitude: k and robustness, shaped (n_centers, realizations).
+        out = {a: (np.empty((config.n_centers, 1 if a == 0.0 else nreal), dtype=np.int64),
+                   np.empty((config.n_centers, 1 if a == 0.0 else nreal)))
+               for a in config.noise_amplitudes}
+        step = _centers_per_chunk(nreal * len(vflat))
+        for start in range(0, config.n_centers, step):
+            rows = slice(start, start + step)
+            theta_clean = _clean_vertex_angles(verts, centers[rows], q, config.phase, config.mode)
+            if noisy:
+                noise = 2.0 * counter_uniform(seeds[rows, :, None], vflat[None, None, :]) - 1.0
+            for amplitude, (k_out, r_out) in out.items():
+                if amplitude == 0.0:
+                    theta = theta_clean[:, None, :]
+                else:
+                    theta = canonicalize(theta_clean[:, None, :] + amplitude * noise, config.mode)
+                _, k, _, per_edge = winding(theta, config.mode)
+                k_out[rows] = k
+                np.min(per_edge, axis=-1, out=r_out[rows])
 
-            _, k, _, per_edge = winding(theta, config.mode)
-            robustness = np.min(per_edge, axis=-1)
-
-            n_samples = config.n_centers * nreal
+        for amplitude, (k, robustness) in out.items():
+            reps = k.shape[1]
+            k = k.reshape(-1)
+            robustness = robustness.reshape(-1)
             block = SampleBlock(
                 template=template.name,
                 amplitude=float(amplitude),
-                sample_index=np.arange(n_samples),
-                center_x=np.repeat(cx, nreal),
-                center_y=np.repeat(cy, nreal),
-                charge=(k / config.mode.periods_per_turn).reshape(-1),
-                robustness=robustness.reshape(-1),
-                normalized=robustness.reshape(-1) / template.resolution,
+                sample_index=np.arange(len(k)),
+                center_x=np.repeat(cx, reps),
+                center_y=np.repeat(cy, reps),
+                charge=k / config.mode.periods_per_turn,
+                robustness=robustness,
+                normalized=robustness / template.resolution,
             )
             blocks[(template.name, float(amplitude))] = block
-            agreement[(template.name, float(amplitude))] = float(np.mean(k.reshape(-1) == target_k))
+            agreement[(template.name, float(amplitude))] = float(np.mean(k == target_k))
 
         oracles[template.name] = theoretical_interval(template, config.charge, config.mode, config.oracle_density)
 

@@ -21,6 +21,8 @@ REPORT_COLUMNS = (
     "template", "amplitude", "sample_index", "center_x", "center_y",
     "charge", "robustness", "normalized_robustness",
 )
+#: Report columns after template and amplitude; ``%.17g`` formats as ``_fmt``.
+_REPORT_ROW = "%d,%.17g,%.17g,%.17g,%.17g,%.17g\n"
 
 #: Statistics of the robustness and the normalized robustness in the summary.
 _SUMMARY_STATS = (("min", np.min), ("max", np.max), ("mean", np.mean), ("stddev", np.std))
@@ -74,14 +76,10 @@ def write_report(result: SweepResult, path):
     with open(path, "w") as fh:
         fh.write(",".join(REPORT_COLUMNS) + "\n")
         for block in result.iter_blocks():
-            amp = _fmt(block.amplitude)
-            for i in range(len(block.sample_index)):
-                fh.write(
-                    f"{block.template},{amp},{block.sample_index[i]},"
-                    f"{_fmt(block.center_x[i])},{_fmt(block.center_y[i])},"
-                    f"{_fmt(block.charge[i])},{_fmt(block.robustness[i])},"
-                    f"{_fmt(block.normalized[i])}\n"
-                )
+            prefix = f"{block.template},{_fmt(block.amplitude)},"
+            columns = (block.sample_index, block.center_x, block.center_y, block.charge,
+                       block.robustness, block.normalized)
+            fh.writelines(prefix + _REPORT_ROW % row for row in zip(*(c.tolist() for c in columns)))
 
 
 def write_summary(result: SweepResult, rank: RankReport, path):

@@ -29,7 +29,6 @@ sampling can deliver, not an idealized target:
 """
 import functools
 import math
-import os
 import sys
 from fractions import Fraction
 
@@ -57,6 +56,7 @@ from defect_robust import (
     wrap_diff,
 )
 from defect_robust.cli import main
+from defect_robust.experiments import _centers_per_chunk
 
 NEM = PeriodMode.NEMATIC
 POL = PeriodMode.POLAR
@@ -260,21 +260,36 @@ def test_criterion_8_ranking():
           f"(published: 2x2); s=0.2 winner {rank.top(0.2)} (published: cross)")
 
 
-@_report(9, "sweep determinism across thread caps")
+@_report(9, "sweep determinism and independence of centre chunking")
 def test_criterion_9_determinism(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text('{"templates": ["single", "2x2", "cross", "3x3", "3x3ext"],'
                    ' "n_centers": 1000, "noise_amplitudes": [0.0, 0.2],'
                    ' "n_noise_realizations": 10, "base_seed": 0}')
     outputs = []
-    for threads in ("1", "8"):
-        rpt = tmp_path / f"report_{threads}.csv"
-        summ = tmp_path / f"summary_{threads}.txt"
-        os.environ["DEFECT_ROBUST_THREADS"] = threads
-        try:
-            assert main(["sweep", "--config", str(cfg), "--out", str(rpt),
-                         "--summary", str(summ)]) == 0
-        finally:
-            del os.environ["DEFECT_ROBUST_THREADS"]
+    for run in ("a", "b"):
+        rpt = tmp_path / f"report_{run}.csv"
+        summ = tmp_path / f"summary_{run}.txt"
+        assert main(["sweep", "--config", str(cfg), "--out", str(rpt),
+                     "--summary", str(summ)]) == 0
         outputs.append((rpt.read_bytes(), summ.read_bytes()))
-    assert outputs[0] == outputs[1], "outputs differ across thread caps"
+    assert outputs[0] == outputs[1], "outputs differ between identical runs"
+
+    # run_sweep evaluates centres in chunks: the first m centres' samples must
+    # not depend on how many centres follow them.  n spans 3 of the largest
+    # chunks plus a remainder; m crosses a chunk edge of every template.
+    sizes = {name: _centers_per_chunk(10 * len(builtin_template(name).boundary.vertices))
+             for name in BUILTIN_TEMPLATE_NAMES}
+    n = 3 * max(sizes.values()) + max(sizes.values()) // 2 + 1
+    m = max(sizes.values()) + 62
+    assert all(n % c and m % c and m > c for c in sizes.values())
+
+    def sweep(count):
+        return run_sweep(SweepConfig(templates=BUILTIN_TEMPLATE_NAMES, n_centers=count,
+                                     noise_amplitudes=(0.0, 0.2)))
+
+    whole, head = sweep(n), sweep(m)
+    for key, blk in head.blocks.items():
+        for field in ("center_x", "center_y", "charge", "robustness", "normalized"):
+            prefix = getattr(whole.blocks[key], field)[:len(blk.robustness)]
+            assert np.array_equal(getattr(blk, field), prefix), f"{key} {field} depends on n_centers"

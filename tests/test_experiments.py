@@ -25,6 +25,7 @@ from defect_robust import (
     synth_defect_field,
     theoretical_interval,
 )
+from defect_robust.experiments import _centers_per_chunk
 
 NEM = PeriodMode.NEMATIC
 HALF = Fraction(1, 2)
@@ -113,24 +114,31 @@ class TestRunSweep:
 
     def test_matches_public_field_pipeline(self):
         # sweeping via path-vertex evaluation equals synthesizing the field,
-        # adding noise, and measuring -- bit for bit
-        cfg = _small_config(templates=("cross",), n_centers=4)
-        res = run_sweep(cfg)
-        t = res.config.templates[0]
-        pl = center_placement(t, OrientationField(nx=32, ny=32, h=1.0, mode=NEM,
-                                                  angles=np.zeros((32, 32))))
-        clean = res.block("cross", 0.0)
-        noisy = res.block("cross", 0.2)
-        for i in range(4):
-            f = synth_defect_field(DefectSpec(charge=HALF,
-                                              center=(clean.center_x[i], clean.center_y[i])),
-                                   32, 32)
-            assert path_robustness(f, pl.path()).path_robustness == clean.robustness[i]
-            assert float(estimate_charge(f, pl.path()).charge) == clean.charge[i]
-            for r in range(cfg.n_noise_realizations):
-                g = add_noise(f, NoiseSpec(amplitude=0.2, seed=derive_seed(0, 3, i, r)))
-                j = i * cfg.n_noise_realizations + r
-                assert path_robustness(g, pl.path()).path_robustness == noisy.robustness[j]
+        # adding noise, and measuring -- bit for bit, also on both sides of a
+        # centre-chunk edge and at the last centre of a partial chunk
+        most = max(BUILTIN_TEMPLATE_NAMES, key=lambda n: len(builtin_template(n).boundary.vertices))
+        chunk = _centers_per_chunk(3 * len(builtin_template(most).boundary.vertices))
+        n_last = 2 * chunk + 5
+        for name, n_centers, indices in (("cross", 4, range(4)),
+                                         (most, n_last, (0, chunk - 1, chunk, n_last - 1))):
+            cfg = _small_config(templates=(name,), n_centers=n_centers)
+            res = run_sweep(cfg)
+            t = res.config.templates[0]
+            pl = center_placement(t, OrientationField(nx=32, ny=32, h=1.0, mode=NEM,
+                                                      angles=np.zeros((32, 32))))
+            clean = res.block(name, 0.0)
+            noisy = res.block(name, 0.2)
+            for i in indices:
+                f = synth_defect_field(DefectSpec(charge=HALF,
+                                                  center=(clean.center_x[i], clean.center_y[i])),
+                                       32, 32)
+                assert path_robustness(f, pl.path()).path_robustness == clean.robustness[i]
+                assert float(estimate_charge(f, pl.path()).charge) == clean.charge[i]
+                for r in range(cfg.n_noise_realizations):
+                    g = add_noise(f, NoiseSpec(amplitude=0.2, seed=derive_seed(0, 3, i, r)))
+                    j = i * cfg.n_noise_realizations + r
+                    assert path_robustness(g, pl.path()).path_robustness == noisy.robustness[j]
+                    assert float(estimate_charge(g, pl.path()).charge) == noisy.charge[j]
 
     def test_noise_free_agreement_is_exact(self):
         res = run_sweep(_small_config())

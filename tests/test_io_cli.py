@@ -1,6 +1,5 @@
 """ORIFIELD round trips, report/summary files, CLI exit codes."""
 import math
-import os
 
 import numpy as np
 import pytest
@@ -171,12 +170,8 @@ class TestCli:
         r2, s2 = tmp_path / "r2.csv", tmp_path / "s2.txt"
         assert main(["sweep", "--config", str(cfg), "--out", str(r1),
                      "--summary", str(s1)]) == 0
-        os.environ["DEFECT_ROBUST_THREADS"] = "3"
-        try:
-            assert main(["sweep", "--config", str(cfg), "--out", str(r2),
-                         "--summary", str(s2)]) == 0
-        finally:
-            del os.environ["DEFECT_ROBUST_THREADS"]
+        assert main(["sweep", "--config", str(cfg), "--out", str(r2),
+                     "--summary", str(s2)]) == 0
         assert r1.read_bytes() == r2.read_bytes()
         assert s1.read_bytes() == s2.read_bytes()
 
