@@ -115,41 +115,34 @@ class OrientationField:
     carries angle ``angles[j, i]``.
     """
 
-    nx: int
-    ny: int
     h: float
     mode: PeriodMode
     angles: np.ndarray
 
     def __post_init__(self):
-        if self.nx < 2 or self.ny < 2:
-            raise ValueError("field dimensions must be at least 2x2")
+        arr = np.asarray(self.angles, dtype=float)
+        if arr.ndim != 2 or min(arr.shape) < 2:
+            raise ValueError(f"angles must be a 2-D array of at least 2x2, got shape {arr.shape}")
         if not (self.h > 0):
             raise ValueError("grid spacing h must be positive")
-        arr = canonicalize(np.asarray(self.angles, dtype=float), self.mode)
-        if arr.shape != (self.ny, self.nx):
-            raise ValueError(f"angles shape {arr.shape} does not match (ny, nx)=({self.ny}, {self.nx})")
-        arr = np.ascontiguousarray(arr)
+        arr = np.ascontiguousarray(canonicalize(arr, self.mode))
         arr.flags.writeable = False
         object.__setattr__(self, "angles", arr)
 
+    @property
+    def nx(self) -> int:
+        return self.angles.shape[1]
+
+    @property
+    def ny(self) -> int:
+        return self.angles.shape[0]
+
     @classmethod
     def from_angles(cls, angles, h: float = 1.0, mode: PeriodMode = PeriodMode.NEMATIC) -> "OrientationField":
-        arr = np.asarray(angles, dtype=float)
-        if arr.ndim != 2:
-            raise ValueError("angles must be a 2-D array")
-        ny, nx = arr.shape
-        return cls(nx=nx, ny=ny, h=h, mode=mode, angles=arr)
-
-    def angle_at(self, i: int, j: int) -> float:
-        return float(self.angles[j, i])
-
-    def flat_index(self, i, j):
-        """Row-major flattened index of grid vertex (i, j)."""
-        return j * self.nx + i
+        return cls(h=h, mode=mode, angles=angles)
 
     def with_angles(self, angles) -> "OrientationField":
-        return OrientationField(nx=self.nx, ny=self.ny, h=self.h, mode=self.mode, angles=angles)
+        return OrientationField(h=self.h, mode=self.mode, angles=angles)
 
 
 @dataclass(frozen=True)
@@ -266,7 +259,8 @@ def _path_angles(field: OrientationField, path: LatticePath) -> np.ndarray:
         raise InvalidPath("closed path needs at least 4 edges")
     ii = np.array([v[0] for v in path.vertices])
     jj = np.array([v[1] for v in path.vertices])
-    if ii.min() < 0 or jj.min() < 0 or ii.max() >= field.nx or jj.max() >= field.ny:
+    ny, nx = field.angles.shape
+    if ii.min() < 0 or jj.min() < 0 or ii.max() >= nx or jj.max() >= ny:
         raise InvalidPath("path leaves the field")
     return field.angles[jj, ii]
 

@@ -107,14 +107,9 @@ class SweepConfig:
         if self.n_noise_realizations < 1:
             raise ValueError("n_noise_realizations must be >= 1")
         _validate_charge(self.charge, self.mode)
+        blank = OrientationField(h=self.h, mode=self.mode, angles=np.zeros((self.ny, self.nx)))
         for t in self.templates:
-            verts = t.boundary.vertices
-            span_x = max(v[0] for v in verts) - min(v[0] for v in verts)
-            span_y = max(v[1] for v in verts) - min(v[1] for v in verts)
-            if self.nx < span_x + 3 or self.ny < span_y + 3:
-                raise ValueError(
-                    f"grid {self.nx}x{self.ny} cannot hold template {t.name!r} "
-                    f"with a 1-cell margin")
+            center_placement(t, blank).validate_in(blank, margin=1)
 
     @classmethod
     def from_mapping(cls, raw, base_seed: int = 0) -> "SweepConfig":
@@ -129,16 +124,34 @@ class SweepConfig:
 
 @dataclass
 class SampleBlock:
-    """All samples for one (template, noise amplitude) pair."""
+    """All samples for one (template, noise amplitude) pair.
+
+    ``charge`` and ``robustness`` hold one entry per (center, realization),
+    center-major; the (n_centers, 2) ``centers`` are shared across amplitudes.
+    """
 
     template: str
     amplitude: float
-    sample_index: np.ndarray
-    center_x: np.ndarray
-    center_y: np.ndarray
+    resolution: float
+    centers: np.ndarray
     charge: np.ndarray
     robustness: np.ndarray
-    normalized: np.ndarray
+
+    @property
+    def sample_index(self) -> np.ndarray:
+        return np.arange(len(self.robustness))
+
+    @property
+    def center_x(self) -> np.ndarray:
+        return np.repeat(self.centers[:, 0], len(self.robustness) // len(self.centers))
+
+    @property
+    def center_y(self) -> np.ndarray:
+        return np.repeat(self.centers[:, 1], len(self.robustness) // len(self.centers))
+
+    @property
+    def normalized(self) -> np.ndarray:
+        return self.robustness / self.resolution
 
 
 @dataclass
@@ -146,11 +159,14 @@ class SweepResult:
     config: SweepConfig
     blocks: dict
     oracles: dict
-    agreement: dict
     placements: dict
 
     def block(self, template_name: str, amplitude: float) -> SampleBlock:
         return self.blocks[(template_name, float(amplitude))]
+
+    def agreement(self, template_name: str, amplitude: float) -> float:
+        """Fraction of the block's samples whose charge is the configured charge."""
+        return float(np.mean(self.block(template_name, amplitude).charge == float(self.config.charge)))
 
     def iter_blocks(self):
         for key in sorted(self.blocks):
@@ -264,7 +280,7 @@ def theoretical_interval(
 
 
 def _draw_centers(config: SweepConfig, placement: Placement):
-    """Uniform center offsets in the placed template's central unit square.
+    """Uniform centers, (n_centers, 2), in the placed template's central unit square.
 
     Centers that land exactly on a grid vertex (where the winding field is
     undefined) are redrawn, up to 100 times per sample.
@@ -296,7 +312,7 @@ def _draw_centers(config: SweepConfig, placement: Placement):
         cy[idx] = (pcy + uy) * config.h
         bad[:] = False
         bad[idx] = degenerate(cx[idx], cy[idx])
-    return cx, cy
+    return np.column_stack([cx, cy])
 
 
 def run_sweep(config: SweepConfig) -> SweepResult:
@@ -313,14 +329,13 @@ def run_sweep(config: SweepConfig) -> SweepResult:
 
     Centers are evaluated in chunks of ``_CHUNK_ELEMENTS`` /
     (n_noise_realizations * n_vertices), so the intermediate arrays stay the
-    same size whatever ``n_centers``; only the returned blocks grow with it.
+    same size whatever ``n_centers``; only ``charge`` and ``robustness`` grow per sample.
     """
     blocks = {}
     oracles = {}
-    agreement = {}
     placements = {}
+    blank = OrientationField(h=config.h, mode=config.mode, angles=np.zeros((config.ny, config.nx)))
     q = float(config.charge)
-    target_k = int(config.charge * config.mode.periods_per_turn)
     nreal = config.n_noise_realizations
     noisy = any(a != 0.0 for a in config.noise_amplitudes)
     if noisy:
@@ -328,18 +343,13 @@ def run_sweep(config: SweepConfig) -> SweepResult:
                             np.arange(nreal)[None, :])
 
     for template in config.templates:
-        dummy = OrientationField(
-            nx=config.nx, ny=config.ny, h=config.h, mode=config.mode,
-            angles=np.zeros((config.ny, config.nx)),
-        )
-        placement = center_placement(template, dummy)
-        placement.validate_in(dummy, margin=1)
+        placement = center_placement(template, blank)
         placements[template.name] = placement.offset
 
         verts = np.asarray(placement.path().vertices, dtype=float) * config.h
         vflat = np.array([j * config.nx + i for i, j in placement.path().vertices])
-        cx, cy = _draw_centers(config, placement)
-        centers = np.column_stack([cx, cy])
+        centers = _draw_centers(config, placement)
+        centers.flags.writeable = False
 
         # Per amplitude: k and robustness, shaped (n_centers, realizations).
         out = {a: (np.empty((config.n_centers, 1 if a == 0.0 else nreal), dtype=np.int64),
@@ -361,25 +371,18 @@ def run_sweep(config: SweepConfig) -> SweepResult:
                 np.min(per_edge, axis=-1, out=r_out[rows])
 
         for amplitude, (k, robustness) in out.items():
-            reps = k.shape[1]
-            k = k.reshape(-1)
-            robustness = robustness.reshape(-1)
-            block = SampleBlock(
+            blocks[(template.name, float(amplitude))] = SampleBlock(
                 template=template.name,
                 amplitude=float(amplitude),
-                sample_index=np.arange(len(k)),
-                center_x=np.repeat(cx, reps),
-                center_y=np.repeat(cy, reps),
-                charge=k / config.mode.periods_per_turn,
-                robustness=robustness,
-                normalized=robustness / template.resolution,
+                resolution=template.resolution,
+                centers=centers,
+                charge=k.reshape(-1) / config.mode.periods_per_turn,
+                robustness=robustness.reshape(-1),
             )
-            blocks[(template.name, float(amplitude))] = block
-            agreement[(template.name, float(amplitude))] = float(np.mean(k == target_k))
 
         oracles[template.name] = theoretical_interval(template, config.charge, config.mode, config.oracle_density)
 
-    return SweepResult(config=config, blocks=blocks, oracles=oracles, agreement=agreement, placements=placements)
+    return SweepResult(config=config, blocks=blocks, oracles=oracles, placements=placements)
 
 
 def normalize_and_rank(result: SweepResult) -> RankReport:
@@ -388,18 +391,18 @@ def normalize_and_rank(result: SweepResult) -> RankReport:
     The winner per amplitude maximizes the minimum normalized robustness;
     ties break alphabetically for reproducibility.
     """
-    resolutions = {t.name: t.resolution for t in result.config.templates}
     per_amplitude = {}
     for amplitude in result.config.noise_amplitudes:
         entries = []
         for template in result.config.templates:
             block = result.block(template.name, amplitude)
+            normalized = block.normalized
             entries.append(RankedEntry(
                 template=template.name,
-                resolution=resolutions[template.name],
+                resolution=template.resolution,
                 n_samples=len(block.robustness),
-                min_normalized=float(np.min(block.normalized)),
-                mean_normalized=float(np.mean(block.normalized)),
+                min_normalized=float(np.min(normalized)),
+                mean_normalized=float(np.mean(normalized)),
                 min_robustness=float(np.min(block.robustness)),
                 mean_robustness=float(np.mean(block.robustness)),
             ))

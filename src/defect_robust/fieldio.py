@@ -68,7 +68,7 @@ def read_field(path) -> OrientationField:
         if not all(math.isfinite(v) for v in values):
             raise InvalidAngle(f"{path}: line {lineno}: row {r} contains a non-finite angle")
         rows.append(values)
-    return OrientationField(nx=nx, ny=ny, h=h, mode=mode, angles=np.array(rows))
+    return OrientationField(h=h, mode=mode, angles=np.array(rows))
 
 
 def write_report(result: SweepResult, path):
@@ -108,8 +108,8 @@ def write_summary(result: SweepResult, rank: RankReport, path):
             for name, values in (("robustness", block.robustness), ("normalized", block.normalized)):
                 for key, stat in _SUMMARY_STATS:
                     lines.append(f"{prefix}.{name}_{key} = {_fmt(stat(values))}")
-            lines.append(f"{prefix}.charge_agreement = {_fmt(result.agreement[(template.name, amp)])}")
-            lines.append(f"{prefix}.n_samples = {len(block.sample_index)}")
+            lines.append(f"{prefix}.charge_agreement = {_fmt(result.agreement(template.name, amp))}")
+            lines.append(f"{prefix}.n_samples = {len(block.robustness)}")
     for i, amp in enumerate(cfg.noise_amplitudes):
         for rank_pos, entry in enumerate(rank.ranking(amp), start=1):
             lines.append(f"ranking.amplitude_{i}.{rank_pos} = {entry.template}")

@@ -126,7 +126,7 @@ def synth_defect_field(
     ys = np.arange(ny) * h - cy
     phi = np.arctan2(ys[:, None], xs[None, :])
     angles = canonicalize(float(spec.charge) * phi + spec.phase, mode)
-    return OrientationField(nx=nx, ny=ny, h=h, mode=mode, angles=angles)
+    return OrientationField(h=h, mode=mode, angles=angles)
 
 
 def noise_offsets(noise: NoiseSpec, flat_indices):

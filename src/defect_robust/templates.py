@@ -139,11 +139,11 @@ class Placement:
         return self.template.boundary.translated(self.offset)
 
     def validate_in(self, field: OrientationField, margin: int = 0):
+        ny, nx = field.angles.shape
         for i, j in self.path().vertices:
-            if not (margin <= i < field.nx - margin and margin <= j < field.ny - margin):
-                raise ValueError(
-                    f"placement at offset {self.offset} leaves the {field.nx}x{field.ny} field"
-                )
+            if not (margin <= i < nx - margin and margin <= j < ny - margin):
+                raise ValueError(f"template {self.template.name!r} at offset {self.offset} leaves the "
+                                 f"{nx}x{ny} field (margin {margin})")
 
 
 def center_placement(template: Template, field: OrientationField) -> Placement:

@@ -87,8 +87,7 @@ def _recovery_samples(q, mode, template_name, n_centers=1000, seed=17):
     """
     t = builtin_template(template_name)
     grid = 24
-    f0 = OrientationField(nx=grid, ny=grid, h=1.0, mode=mode,
-                          angles=np.zeros((grid, grid)))
+    f0 = OrientationField(h=1.0, mode=mode, angles=np.zeros((grid, grid)))
     pl = center_placement(t, f0)
     path = pl.path()
     verts = np.asarray(path.vertices, dtype=float)
@@ -227,7 +226,7 @@ def test_criterion_6_stability_sharpness():
 
         # constructed crossing on the weakest edge always changes it by 1/2
         (i0, j0), (i1, j1) = rep.min_edge
-        d = wrap_diff(f.angle_at(i1, j1) - f.angle_at(i0, j0), NEM)
+        d = wrap_diff(f.angles[j1, i1] - f.angles[j0, i0], NEM)
         bump = math.copysign(r / 2 + 1e-6, d if d != 0 else 1.0)
         angles = np.array(f.angles)
         angles[j1, i1] += bump

@@ -100,24 +100,18 @@ class TestEdgeRobustness:
 class TestOrientationField:
     def test_canonicalizes_and_freezes(self):
         f = OrientationField.from_angles([[0.0, -0.1], [4.0, math.pi]], mode=NEM)
-        assert f.angle_at(1, 0) == pytest.approx(math.pi - 0.1)
-        assert f.angle_at(1, 1) == pytest.approx(0.0)
+        assert f.angles[0, 1] == pytest.approx(math.pi - 0.1)
+        assert f.angles[1, 1] == pytest.approx(0.0)
         with pytest.raises(ValueError):
             f.angles[0, 0] = 1.0
 
     def test_shape_and_h_validation(self):
         with pytest.raises(ValueError):
-            OrientationField(nx=3, ny=2, h=1.0, mode=NEM, angles=np.zeros((3, 3)))
+            OrientationField(h=1.0, mode=NEM, angles=np.zeros(5))
         with pytest.raises(ValueError):
             OrientationField.from_angles(np.zeros((2, 2)), h=0.0)
         with pytest.raises(ValueError):
             OrientationField.from_angles(np.zeros((1, 5)))
-
-    def test_flat_index_row_major(self):
-        f = OrientationField.from_angles(np.zeros((4, 3)))
-        assert f.flat_index(2, 0) == 2
-        assert f.flat_index(0, 1) == 3
-        assert f.flat_index(2, 3) == 11
 
 
 class TestLatticePath:
@@ -200,7 +194,7 @@ class TestPathRobustness:
         assert rep.per_edge.shape == (4,)
         for k in range(4):
             (i0, j0), (i1, j1) = UNIT_SQUARE.edge(k)
-            expected = edge_robustness(f.angle_at(i0, j0), f.angle_at(i1, j1), NEM)
+            expected = edge_robustness(f.angles[j0, i0], f.angles[j1, i1], NEM)
             assert rep.per_edge[k] == pytest.approx(expected, abs=1e-15)
         assert rep.path_robustness == pytest.approx(float(rep.per_edge.min()))
         assert rep.min_edge in [UNIT_SQUARE.edge(k) for k in range(4)]

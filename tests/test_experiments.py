@@ -12,6 +12,7 @@ from defect_robust import (
     OrientationField,
     PeriodMode,
     SweepConfig,
+    Template,
     add_noise,
     analytic_path_robustness,
     builtin_template,
@@ -38,7 +39,7 @@ class TestAnalyticRobustness:
         t = builtin_template("2x2")
         centers = np.array([[0.73, 1.21], [1.49, 0.51], [1.03, 0.97]])
         r = analytic_path_robustness(t, centers, HALF)
-        f_dummy = OrientationField(nx=16, ny=16, h=1.0, mode=NEM, angles=np.zeros((16, 16)))
+        f_dummy = OrientationField(h=1.0, mode=NEM, angles=np.zeros((16, 16)))
         pl = center_placement(t, f_dummy)
         for k, c in enumerate(centers):
             cx, cy = c[0] + pl.offset[0], c[1] + pl.offset[1]
@@ -124,8 +125,7 @@ class TestRunSweep:
             cfg = _small_config(templates=(name,), n_centers=n_centers)
             res = run_sweep(cfg)
             t = res.config.templates[0]
-            pl = center_placement(t, OrientationField(nx=32, ny=32, h=1.0, mode=NEM,
-                                                      angles=np.zeros((32, 32))))
+            pl = center_placement(t, OrientationField(h=1.0, mode=NEM, angles=np.zeros((32, 32))))
             clean = res.block(name, 0.0)
             noisy = res.block(name, 0.2)
             for i in indices:
@@ -143,7 +143,7 @@ class TestRunSweep:
     def test_noise_free_agreement_is_exact(self):
         res = run_sweep(_small_config())
         for t in res.config.templates:
-            assert res.agreement[(t.name, 0.0)] == 1.0
+            assert res.agreement(t.name, 0.0) == 1.0
 
     def test_paired_noise_perturbation_bound(self):
         cfg = _small_config()
@@ -162,6 +162,11 @@ class TestRunSweep:
             _small_config(charge=Fraction(1, 3))
         with pytest.raises(ValueError):
             _small_config(templates=("3x3ext",), nx=6, ny=6)  # no 1-cell margin
+        # its boundary spans 8x8, so it fits 11x11 by size, but its centroid lies
+        # off the bounding-box centre and the central placement crosses the margin
+        ell = Template.from_cells("ell", {(a, 0) for a in range(8)} | {(0, b) for b in range(1, 8)})
+        with pytest.raises(ValueError, match="'ell'"):
+            _small_config(templates=(ell,), nx=11, ny=11)
 
 
 class TestRanking:

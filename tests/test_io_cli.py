@@ -76,8 +76,8 @@ class TestFieldFormat:
         p = tmp_path / "wide.orif"
         p.write_text("ORIFIELD 1 2 2 1 nematic\n-0.5 4.0\n0 0\n")
         f = read_field(p)
-        assert f.angle_at(0, 0) == pytest.approx(math.pi - 0.5)
-        assert f.angle_at(1, 0) == pytest.approx(4.0 - math.pi)
+        assert f.angles[0, 0] == pytest.approx(math.pi - 0.5)
+        assert f.angles[0, 1] == pytest.approx(4.0 - math.pi)
 
 
 class TestReportFiles:
@@ -107,6 +107,36 @@ class TestReportFiles:
         assert float(kv["2x2.amplitude_0.robustness_min"]) == pytest.approx(
             np.min(r2), abs=1e-12)
         assert kv["ranking.amplitude_0.1"] in ("single", "2x2")
+
+        # every column parses back to the block's arrays bit for bit; cross and
+        # 3x3 (resolutions sqrt(5) and 3) make robustness / resolution inexact,
+        # and noise 1.0 moves the charge both up and down
+        cfg2 = SweepConfig(templates=("cross", "3x3"), n_centers=30,
+                           noise_amplitudes=(0.0, 1.0), n_noise_realizations=3)
+        for cfg, res in ((cfg, res), (cfg2, run_sweep(cfg2))):
+            write_report(res, rpt)
+            write_summary(res, normalize_and_rank(res), summ)
+            rows = [ln.split(",") for ln in rpt.read_text().splitlines()[1:]]
+            kv = dict(ln.split(" = ") for ln in summ.read_text().splitlines())
+            for i, amp in enumerate(cfg.noise_amplitudes):
+                for t in cfg.templates:
+                    blk = res.block(t.name, amp)
+                    assert blk.centers is res.block(t.name, 0.0).centers
+                    cols = zip(*(r[2:] for r in rows if r[0] == t.name and float(r[1]) == amp))
+                    index, cx, cy, charge, rob, norm = (np.array(c, dtype=float) for c in cols)
+                    reps = 1 if amp == 0.0 else cfg.n_noise_realizations
+                    assert np.array_equal(index, blk.sample_index)
+                    assert np.array_equal(index, np.arange(cfg.n_centers * reps))
+                    assert np.array_equal(cx, blk.center_x)
+                    assert np.array_equal(cx, np.repeat(blk.centers[:, 0], reps))
+                    assert np.array_equal(cy, blk.center_y)
+                    assert np.array_equal(cy, np.repeat(blk.centers[:, 1], reps))
+                    assert np.array_equal(charge, blk.charge)
+                    assert np.array_equal(rob, blk.robustness)
+                    assert np.array_equal(norm, blk.normalized)
+                    assert np.array_equal(norm, rob / t.resolution)
+                    agreement = float(kv[f"{t.name}.amplitude_{i}.charge_agreement"])
+                    assert agreement == np.mean(charge == float(cfg.charge))
 
     def test_rows_sorted(self, tmp_path):
         cfg = SweepConfig(templates=("2x2", "single"), n_centers=10,

@@ -139,7 +139,7 @@ def test_crossing_perturbation_flips_charge(seed):
     if rep.path_robustness <= 1e-6:
         return
     (i0, j0), (i1, j1) = rep.min_edge
-    d = wrap_diff(f.angle_at(i1, j1) - f.angle_at(i0, j0), NEM)
+    d = wrap_diff(f.angles[j1, i1] - f.angles[j0, i0], NEM)
     sign = 1.0 if d >= 0 else -1.0
     bump = sign * (rep.path_robustness + 1e-9)
     angles = np.array(f.angles)

@@ -100,8 +100,7 @@ class TestBuiltins:
 
 
 def _blank_field(nx=16, ny=16):
-    return OrientationField(nx=nx, ny=ny, h=1.0, mode=PeriodMode.NEMATIC,
-                            angles=np.zeros((ny, nx)))
+    return OrientationField(h=1.0, mode=PeriodMode.NEMATIC, angles=np.zeros((ny, nx)))
 
 
 class TestPlacement:
