@@ -14,6 +14,7 @@ from fractions import Fraction
 from .core import PeriodMode, estimate_charge, path_robustness
 from .errors import DefectRobustError
 from .experiments import (
+    ORACLE_DENSITY,
     SweepConfig,
     convergence_study,
     normalize_and_rank,
@@ -54,6 +55,11 @@ def _int_list(text: str):
     return [int(p) for p in text.split(",")]
 
 
+def _add_mode(parser):
+    parser.add_argument("--mode", type=PeriodMode, default=PeriodMode.NEMATIC,
+                        metavar="{" + ",".join(m.value for m in PeriodMode) + "}")
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(prog="defect-robust", description=__doc__)
     parser.add_argument("--seed", type=int, default=0, help="base seed for all randomness")
@@ -65,7 +71,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--phase", type=float, default=0.0)
     p.add_argument("--size", type=_pair(int), required=True, metavar="NX,NY")
     p.add_argument("--spacing", type=float, default=1.0)
-    p.add_argument("--mode", default="nematic", choices=["nematic", "polar"])
+    _add_mode(p)
     p.add_argument("--out", required=True)
 
     for name in ("charge", "robustness"):
@@ -83,8 +89,8 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("oracle", help="theoretical robustness interval")
     p.add_argument("--template", required=True)
     p.add_argument("--charge", type=_fraction, required=True)
-    p.add_argument("--density", type=int, default=200)
-    p.add_argument("--mode", default="nematic", choices=["nematic", "polar"])
+    p.add_argument("--density", type=int, default=ORACLE_DENSITY)
+    _add_mode(p)
 
     p = sub.add_parser("sweep", help="Monte Carlo sweep from a JSON config")
     p.add_argument("--config", required=True)
@@ -94,8 +100,8 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("convergence", help="square(n) robustness bounds table")
     p.add_argument("--charge", type=_fraction, required=True)
     p.add_argument("--sizes", type=_int_list, default=[1, 2, 3, 4, 8, 16])
-    p.add_argument("--mode", default="nematic", choices=["nematic", "polar"])
-    p.add_argument("--density", type=int, default=200)
+    _add_mode(p)
+    p.add_argument("--density", type=int, default=ORACLE_DENSITY)
 
     return parser
 
@@ -109,8 +115,7 @@ def _placement(args, field):
 
 def _cmd_generate(args) -> int:
     spec = DefectSpec(charge=args.charge, center=args.center, phase=args.phase)
-    field = synth_defect_field(spec, args.size[0], args.size[1], args.spacing,
-                               PeriodMode.from_name(args.mode))
+    field = synth_defect_field(spec, args.size[0], args.size[1], args.spacing, args.mode)
     write_field(field, args.out)
     return 0
 
@@ -164,7 +169,7 @@ def _cmd_scan(args) -> int:
 
 def _cmd_oracle(args) -> int:
     template = builtin_template(args.template)
-    interval = theoretical_interval(template, args.charge, PeriodMode.from_name(args.mode), args.density)
+    interval = theoretical_interval(template, args.charge, args.mode, args.density)
     print(f"lower = {interval.lower:.17g}")
     print(f"upper = {interval.upper:.17g}")
     print(f"n_oracle_samples = {interval.n_oracle_samples}")
@@ -184,8 +189,7 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_convergence(args) -> int:
-    rows = convergence_study(args.charge, args.sizes, PeriodMode.from_name(args.mode),
-                             oracle_density=args.density)
+    rows = convergence_study(args.charge, args.sizes, args.mode, oracle_density=args.density)
     print(f"{'n':>4} {'lower':>20} {'upper':>20} {'analytic_bound':>20} {'r_min':>10}")
     for row in rows:
         print(f"{row.n:>4} {row.lower:>20.12f} {row.upper:>20.12f} "
@@ -214,7 +218,7 @@ def main(argv=None) -> int:
         return 1
     try:
         return _COMMANDS[args.command](args)
-    except (DefectRobustError, OSError, ValueError, json.JSONDecodeError) as exc:
+    except (DefectRobustError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

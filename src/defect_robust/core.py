@@ -123,8 +123,8 @@ class OrientationField:
         arr = np.asarray(self.angles, dtype=float)
         if arr.ndim != 2 or min(arr.shape) < 2:
             raise ValueError(f"angles must be a 2-D array of at least 2x2, got shape {arr.shape}")
-        if not (self.h > 0):
-            raise ValueError("grid spacing h must be positive")
+        if not (0 < self.h < math.inf):
+            raise ValueError(f"grid spacing h must be positive and finite, got {self.h}")
         arr = np.ascontiguousarray(canonicalize(arr, self.mode))
         arr.flags.writeable = False
         object.__setattr__(self, "angles", arr)
@@ -147,32 +147,28 @@ class OrientationField:
 
 @dataclass(frozen=True)
 class LatticePath:
-    """Ordered grid vertices joined by unit axis-aligned steps.
+    """Cycle of grid vertices joined by unit axis-aligned steps.
 
-    For a closed path the first vertex is the implicit successor of the last
-    (the closing vertex is not repeated).
+    The first vertex is the implicit successor of the last (the closing
+    vertex is not repeated), so a path of n vertices has n edges.
     """
 
     vertices: tuple
-    closed: bool = True
 
     def __post_init__(self):
         verts = tuple((int(i), int(j)) for i, j in self.vertices)
         object.__setattr__(self, "vertices", verts)
-        if len(verts) < 2:
-            raise InvalidPath("a path needs at least two vertices")
+        if len(verts) < 4:
+            raise InvalidPath(f"a lattice cycle needs at least 4 vertices, got {len(verts)}")
         if len(set(verts)) != len(verts):
             raise InvalidPath("path revisits a vertex")
-        steps = list(zip(verts, verts[1:]))
-        if self.closed:
-            steps.append((verts[-1], verts[0]))
-        for (i0, j0), (i1, j1) in steps:
+        for (i0, j0), (i1, j1) in zip(verts, verts[1:] + verts[:1]):
             if abs(i1 - i0) + abs(j1 - j0) != 1:
                 raise InvalidPath(f"vertices {(i0, j0)} and {(i1, j1)} are not lattice 4-neighbors")
 
     @property
     def n_edges(self) -> int:
-        return len(self.vertices) if self.closed else len(self.vertices) - 1
+        return len(self.vertices)
 
     def edge(self, k: int):
         """Endpoints of edge ``k`` in traversal order."""
@@ -180,19 +176,26 @@ class LatticePath:
         return self.vertices[k % n], self.vertices[(k + 1) % n]
 
     def reversed(self) -> "LatticePath":
-        return LatticePath(tuple(reversed(self.vertices)), closed=self.closed)
+        return LatticePath(tuple(reversed(self.vertices)))
 
     def rotated(self, k: int) -> "LatticePath":
-        """Cyclic shift of the start vertex (closed paths only)."""
-        if not self.closed:
-            raise InvalidPath("cannot rotate an open path")
-        n = len(self.vertices)
-        k %= n
-        return LatticePath(self.vertices[k:] + self.vertices[:k], closed=True)
+        """Cyclic shift of the start vertex."""
+        k %= len(self.vertices)
+        return LatticePath(self.vertices[k:] + self.vertices[:k])
 
     def translated(self, offset) -> "LatticePath":
         dx, dy = int(offset[0]), int(offset[1])
-        return LatticePath(tuple((i + dx, j + dy) for i, j in self.vertices), closed=self.closed)
+        return LatticePath(tuple((i + dx, j + dy) for i, j in self.vertices))
+
+    def grid_indices(self, field: OrientationField, margin: int = 0):
+        """The vertices' (row, column) index arrays into ``field.angles``, or
+        None if a vertex lies outside the field shrunk by ``margin`` per side."""
+        ii = np.array([v[0] for v in self.vertices])
+        jj = np.array([v[1] for v in self.vertices])
+        ny, nx = field.angles.shape
+        if ii.min() < margin or jj.min() < margin or ii.max() >= nx - margin or jj.max() >= ny - margin:
+            return None
+        return jj, ii
 
 
 @dataclass(frozen=True)
@@ -208,7 +211,6 @@ class ChargeEstimate:
     anchor: tuple
     raw_sum: float
     residual: float
-    mode: PeriodMode
 
 
 @dataclass
@@ -253,16 +255,10 @@ def winding(theta, mode: PeriodMode):
 
 
 def _path_angles(field: OrientationField, path: LatticePath) -> np.ndarray:
-    if not path.closed:
-        raise InvalidPath("charge and robustness require a closed path")
-    if path.n_edges < 4:
-        raise InvalidPath("closed path needs at least 4 edges")
-    ii = np.array([v[0] for v in path.vertices])
-    jj = np.array([v[1] for v in path.vertices])
-    ny, nx = field.angles.shape
-    if ii.min() < 0 or jj.min() < 0 or ii.max() >= nx or jj.max() >= ny:
+    indices = path.grid_indices(field)
+    if indices is None:
         raise InvalidPath("path leaves the field")
-    return field.angles[jj, ii]
+    return field.angles[indices]
 
 
 def estimate_charge(field: OrientationField, path: LatticePath) -> ChargeEstimate:
@@ -276,7 +272,7 @@ def estimate_charge(field: OrientationField, path: LatticePath) -> ChargeEstimat
     jj = [v[1] for v in path.vertices]
     anchor = (sum(ii) / len(ii), sum(jj) / len(jj))
     return ChargeEstimate(charge=Fraction(int(k), field.mode.periods_per_turn), anchor=anchor,
-                          raw_sum=float(raw), residual=float(residual), mode=field.mode)
+                          raw_sum=float(raw), residual=float(residual))
 
 
 def path_robustness(field: OrientationField, path: LatticePath) -> RobustnessReport:

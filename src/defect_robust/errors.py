@@ -10,7 +10,7 @@ class InvalidAngle(DefectRobustError):
 
 
 class InvalidPath(DefectRobustError):
-    """A lattice path is open, self-intersecting, too short, or leaves the field."""
+    """A lattice path is not a cycle of 4-neighbors, revisits a vertex, is too short, or leaves the field."""
 
 
 class QuantizationFailure(DefectRobustError):

@@ -34,6 +34,9 @@ _STREAM_NOISE = 3
 
 _VERTEX_EXCLUSION = 1e-9
 
+#: Oracle grid points per axis unless the caller sets a density.
+ORACLE_DENSITY = 200
+
 #: Elements in each (centers, [realizations,] vertices) array of one chunk, in
 #: the sweep and the oracle.  At this size each chunk's arrays fit in cache and
 #: reuse the memory the previous chunk freed; at 2**18 a sweep page-faulted 3x
@@ -54,14 +57,28 @@ class IntervalEstimate:
     n_oracle_samples: int
 
 
+def _json(kind, name: str, convert=None):
+    """Converter of a JSON value that must be a ``kind`` (never a boolean)."""
+    def parse(value):
+        if isinstance(value, bool) or not isinstance(value, kind):
+            raise TypeError(f"expected a JSON {name}")
+        return value if convert is None else convert(value)
+    return parse
+
+
+_INT = _json(int, "integer")
+_NUMBER = _json((int, float), "number", float)
+_STRING = _json(str, "string")
+
 #: Sweep JSON keys and how each value becomes a ``SweepConfig`` field; the
 #: ``grid`` object is parsed with its own keys.
 _SWEEP_JSON = {
-    "templates": tuple, "n_centers": int, "noise_amplitudes": tuple, "n_noise_realizations": int,
-    "base_seed": int, "mode": PeriodMode.from_name, "charge": lambda v: Fraction(str(v)),
-    "phase": float, "oracle_density": int, "grid": lambda grid: grid,
+    "templates": _json(list, "array of strings", lambda v: tuple(map(_STRING, v))), "n_centers": _INT,
+    "noise_amplitudes": _json(list, "array of numbers", lambda v: tuple(map(_NUMBER, v))),
+    "n_noise_realizations": _INT, "base_seed": _INT, "mode": PeriodMode.from_name,
+    "charge": lambda v: Fraction(str(v)), "phase": _NUMBER, "oracle_density": _INT, "grid": lambda grid: grid,
 }
-_SWEEP_JSON_GRID = {"nx": int, "ny": int, "h": float}
+_SWEEP_JSON_GRID = {"nx": _INT, "ny": _INT, "h": _NUMBER}
 
 
 def _json_fields(raw, fields: dict, where: str) -> dict:
@@ -91,7 +108,7 @@ class SweepConfig:
     mode: PeriodMode = PeriodMode.NEMATIC
     charge: Fraction = Fraction(1, 2)
     phase: float = 0.0
-    oracle_density: int = 200
+    oracle_density: int = ORACLE_DENSITY
 
     def __post_init__(self):
         resolved = tuple(
@@ -102,8 +119,10 @@ class SweepConfig:
         object.__setattr__(self, "charge", Fraction(self.charge))
         if self.n_centers < 1:
             raise ValueError("n_centers must be >= 1")
-        if any(a < 0 for a in self.noise_amplitudes):
-            raise ValueError("noise amplitudes must be >= 0")
+        if not all(0.0 <= a < math.inf for a in self.noise_amplitudes):
+            raise ValueError(f"noise_amplitudes must be finite and >= 0, got {self.noise_amplitudes}")
+        if not math.isfinite(self.phase):
+            raise ValueError(f"phase must be finite, got {self.phase}")
         if self.n_noise_realizations < 1:
             raise ValueError("n_noise_realizations must be >= 1")
         _validate_charge(self.charge, self.mode)
@@ -159,7 +178,6 @@ class SweepResult:
     config: SweepConfig
     blocks: dict
     oracles: dict
-    placements: dict
 
     def block(self, template_name: str, amplitude: float) -> SampleBlock:
         return self.blocks[(template_name, float(amplitude))]
@@ -168,20 +186,12 @@ class SweepResult:
         """Fraction of the block's samples whose charge is the configured charge."""
         return float(np.mean(self.block(template_name, amplitude).charge == float(self.config.charge)))
 
-    def iter_blocks(self):
-        for key in sorted(self.blocks):
-            yield self.blocks[key]
-
 
 @dataclass(frozen=True)
 class RankedEntry:
     template: str
     resolution: float
-    n_samples: int
     min_normalized: float
-    mean_normalized: float
-    min_robustness: float
-    mean_robustness: float
 
 
 @dataclass
@@ -202,7 +212,6 @@ class ConvergenceRow:
     n: int
     lower: float
     upper: float
-    n_oracle_samples: int
     r_min: float
     analytic_lower_bound: float
 
@@ -242,13 +251,16 @@ def theoretical_interval(
     template: Template,
     q,
     mode: PeriodMode = PeriodMode.NEMATIC,
-    oracle_density: int = 200,
+    oracle_density: int = ORACLE_DENSITY,
 ) -> IntervalEstimate:
-    """Exact-robustness interval over the template's central sampling square.
+    """Sampled robustness interval over the template's central sampling square.
 
     Evaluates the analytic noise-free robustness on an inclusive
     density x density grid of defect centers (centers within 1e-9 of a path
-    vertex are excluded) and returns the min and max.
+    vertex are excluded) and returns the grid's min and max.  Neither end is
+    certified: robustness between grid points can fall below ``lower`` (on
+    ``cross`` at density 200 ``lower`` is 0.78790, while centers on the
+    square's boundary reach 0.78540) or rise above ``upper``.
     """
     if oracle_density < 2:
         raise ValueError("oracle_density must be >= 2 per axis")
@@ -333,7 +345,6 @@ def run_sweep(config: SweepConfig) -> SweepResult:
     """
     blocks = {}
     oracles = {}
-    placements = {}
     blank = OrientationField(h=config.h, mode=config.mode, angles=np.zeros((config.ny, config.nx)))
     q = float(config.charge)
     nreal = config.n_noise_realizations
@@ -344,7 +355,6 @@ def run_sweep(config: SweepConfig) -> SweepResult:
 
     for template in config.templates:
         placement = center_placement(template, blank)
-        placements[template.name] = placement.offset
 
         verts = np.asarray(placement.path().vertices, dtype=float) * config.h
         vflat = np.array([j * config.nx + i for i, j in placement.path().vertices])
@@ -382,7 +392,7 @@ def run_sweep(config: SweepConfig) -> SweepResult:
 
         oracles[template.name] = theoretical_interval(template, config.charge, config.mode, config.oracle_density)
 
-    return SweepResult(config=config, blocks=blocks, oracles=oracles, placements=placements)
+    return SweepResult(config=config, blocks=blocks, oracles=oracles)
 
 
 def normalize_and_rank(result: SweepResult) -> RankReport:
@@ -395,17 +405,10 @@ def normalize_and_rank(result: SweepResult) -> RankReport:
     for amplitude in result.config.noise_amplitudes:
         entries = []
         for template in result.config.templates:
-            block = result.block(template.name, amplitude)
-            normalized = block.normalized
-            entries.append(RankedEntry(
-                template=template.name,
-                resolution=template.resolution,
-                n_samples=len(block.robustness),
-                min_normalized=float(np.min(normalized)),
-                mean_normalized=float(np.mean(normalized)),
-                min_robustness=float(np.min(block.robustness)),
-                mean_robustness=float(np.mean(block.robustness)),
-            ))
+            robustness = result.block(template.name, amplitude).robustness
+            # Dividing by a positive constant keeps the order, so this is min(normalized) bit for bit.
+            entries.append(RankedEntry(template=template.name, resolution=template.resolution,
+                                       min_normalized=float(np.min(robustness)) / template.resolution))
         entries.sort(key=lambda e: (-e.min_normalized, e.template))
         per_amplitude[float(amplitude)] = entries
     return RankReport(per_amplitude=per_amplitude)
@@ -415,20 +418,21 @@ def convergence_study(
     q,
     sizes,
     mode: PeriodMode = PeriodMode.NEMATIC,
-    h: float = 1.0,
-    oracle_density: int = 200,
+    oracle_density: int = ORACLE_DENSITY,
 ):
     """Oracle intervals for square(n) templates plus the view-angle bound.
 
-    The analytic lower bound is P/2 - |q|*V, clamped at 0, where V bounds the
-    angle any boundary edge subtends from a center in the sampling square and
-    R_min = (n-1)/2 * h is the smallest center-to-nearest-edge distance there:
+    Lengths are in lattice units; robustness is scale-free, so a grid spacing
+    h cancels from every row.  The analytic lower bound is P/2 - |q|*V,
+    clamped at 0, where V bounds the angle any boundary edge subtends from a
+    center in the sampling square and R_min = (n-1)/2 is the smallest
+    center-to-nearest-edge distance there:
 
-    * R_min >= h: V = arcsin(h/R_min), the paper's view-angle bound;
-    * R_min < h: V = 2*atan2(h, 2*R_min), the view angle of an edge of length
-      h from distance R_min opposite its midpoint.  arcsin(h/R_min) does not
-      bound the view angle there; at R_min = 0 a center on an edge sees that
-      edge at pi.
+    * R_min >= 1: V = arcsin(1/R_min), the paper's view-angle bound;
+    * R_min < 1: V = 2*atan2(1, 2*R_min), the view angle of a unit edge from
+      distance R_min opposite its midpoint.  arcsin(1/R_min) does not bound
+      the view angle there; at R_min = 0 a center on an edge sees that edge
+      at pi.
 
     The rows are reported as-is and any assertions are left to callers.
     """
@@ -439,18 +443,12 @@ def convergence_study(
     for n in sizes:
         template = builtin_template(f"square({n})")
         interval = theoretical_interval(template, q, mode, oracle_density)
-        r_min = max(0.0, (n - 1) / 2.0 * h)
-        if r_min >= h:
-            view = math.asin(h / r_min)
+        r_min = (n - 1) / 2.0
+        if r_min >= 1.0:
+            view = math.asin(1.0 / r_min)
         else:
-            view = 2.0 * math.atan2(h, 2.0 * r_min)
+            view = 2.0 * math.atan2(1.0, 2.0 * r_min)
         bound = max(0.0, p / 2.0 - abs(float(q)) * view)
-        rows.append(ConvergenceRow(
-            n=int(n),
-            lower=interval.lower,
-            upper=interval.upper,
-            n_oracle_samples=interval.n_oracle_samples,
-            r_min=r_min,
-            analytic_lower_bound=bound,
-        ))
+        rows.append(ConvergenceRow(n=int(n), lower=interval.lower, upper=interval.upper, r_min=r_min,
+                                   analytic_lower_bound=bound))
     return rows

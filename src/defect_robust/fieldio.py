@@ -68,6 +68,9 @@ def read_field(path) -> OrientationField:
         if not all(math.isfinite(v) for v in values):
             raise InvalidAngle(f"{path}: line {lineno}: row {r} contains a non-finite angle")
         rows.append(values)
+    for k in range(1 + ny, len(lines)):
+        if lines[k].strip():
+            raise ParseError(f"{path}: line {k + 1}: unexpected data after the last of {ny} rows")
     return OrientationField(h=h, mode=mode, angles=np.array(rows))
 
 
@@ -75,7 +78,7 @@ def write_report(result: SweepResult, path):
     """Sweep samples as CSV, ordered by (template, amplitude, sample_index)."""
     with open(path, "w") as fh:
         fh.write(",".join(REPORT_COLUMNS) + "\n")
-        for block in result.iter_blocks():
+        for block in (result.blocks[key] for key in sorted(result.blocks)):
             prefix = f"{block.template},{_fmt(block.amplitude)},"
             columns = (block.sample_index, block.center_x, block.center_y, block.charge,
                        block.robustness, block.normalized)

@@ -7,7 +7,6 @@ order and parallelism, and individual vertices can be evaluated in isolation.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -16,7 +15,6 @@ import numpy as np
 from .core import OrientationField, PeriodMode, canonicalize
 from .errors import DegenerateCenter
 
-_MASK64 = np.uint64(0xFFFFFFFFFFFFFFFF)
 _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
 _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
 _MIX2 = np.uint64(0x94D049BB133111EB)

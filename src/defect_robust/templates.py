@@ -73,7 +73,7 @@ def boundary_of_cells(cells) -> LatticePath:
         v = succ[v]
     if len(cycle) != len(succ):
         raise InvalidCellSet("cell set has a hole")
-    return LatticePath(tuple(cycle), closed=True)
+    return LatticePath(tuple(cycle))
 
 
 @dataclass(frozen=True)
@@ -139,11 +139,9 @@ class Placement:
         return self.template.boundary.translated(self.offset)
 
     def validate_in(self, field: OrientationField, margin: int = 0):
-        ny, nx = field.angles.shape
-        for i, j in self.path().vertices:
-            if not (margin <= i < nx - margin and margin <= j < ny - margin):
-                raise ValueError(f"template {self.template.name!r} at offset {self.offset} leaves the "
-                                 f"{nx}x{ny} field (margin {margin})")
+        if self.path().grid_indices(field, margin) is None:
+            raise ValueError(f"template {self.template.name!r} at offset {self.offset} leaves the "
+                             f"{field.nx}x{field.ny} field (margin {margin})")
 
 
 def center_placement(template: Template, field: OrientationField) -> Placement:

@@ -110,6 +110,8 @@ class TestOrientationField:
             OrientationField(h=1.0, mode=NEM, angles=np.zeros(5))
         with pytest.raises(ValueError):
             OrientationField.from_angles(np.zeros((2, 2)), h=0.0)
+        with pytest.raises(ValueError, match="finite"):
+            OrientationField.from_angles(np.zeros((2, 2)), h=math.inf)
         with pytest.raises(ValueError):
             OrientationField.from_angles(np.zeros((1, 5)))
 
@@ -117,19 +119,22 @@ class TestOrientationField:
 class TestLatticePath:
     def test_unit_cell_cycle(self):
         p = LatticePath(((0, 0), (1, 0), (1, 1), (0, 1)))
-        assert p.closed and p.n_edges == 4
+        assert p.n_edges == 4
         assert p.edge(3) == ((0, 1), (0, 0))
 
     def test_rejects_diagonal_and_repeat(self):
-        with pytest.raises(InvalidPath):
-            LatticePath(((0, 0), (1, 1)))
-        with pytest.raises(InvalidPath):
+        with pytest.raises(InvalidPath, match="not lattice 4-neighbors"):
+            LatticePath(((0, 0), (1, 0), (2, 1), (1, 1)))
+        with pytest.raises(InvalidPath, match="revisits"):
             LatticePath(((0, 0), (1, 0), (0, 0), (0, 1)))
 
     def test_closing_step_validated(self):
-        with pytest.raises(InvalidPath):
-            LatticePath(((0, 0), (1, 0), (2, 0)), closed=True)
-        LatticePath(((0, 0), (1, 0), (2, 0)), closed=False)  # fine when open
+        # every listed step is a unit step; only the implicit (2, 1) -> (0, 0) is not
+        with pytest.raises(InvalidPath, match=r"\(2, 1\) and \(0, 0\)"):
+            LatticePath(((0, 0), (1, 0), (2, 0), (2, 1)))
+        # (1, 0) -> (0, 0) closes a unit step too, but the cycle encloses nothing
+        with pytest.raises(InvalidPath, match="at least 4 vertices"):
+            LatticePath(((0, 0), (1, 0)))
 
     def test_reversed_and_rotated(self):
         p = LatticePath(((0, 0), (1, 0), (1, 1), (0, 1)))
@@ -181,10 +186,10 @@ class TestEstimateCharge:
 
     def test_path_validation(self):
         f = _vortex_field(0.5)
-        with pytest.raises(InvalidPath):
-            estimate_charge(f, LatticePath(((0, 0), (1, 0), (2, 0)), closed=False))
-        with pytest.raises(InvalidPath):
+        with pytest.raises(InvalidPath, match="leaves the field"):
             estimate_charge(f, UNIT_SQUARE.translated((10, 0)))
+        with pytest.raises(InvalidPath, match="leaves the field"):
+            path_robustness(f, UNIT_SQUARE.translated((0, -4)))
 
 
 class TestPathRobustness:

@@ -105,8 +105,9 @@ class TestRunSweep:
 
     def test_centers_in_central_unit_square(self):
         res = run_sweep(_small_config())
+        blank = OrientationField(h=1.0, mode=NEM, angles=np.zeros((32, 32)))
         for t in res.config.templates:
-            pl_off = res.placements[t.name]
+            pl_off = center_placement(t, blank).offset
             cx0 = t.centroid[0] + pl_off[0]
             cy0 = t.centroid[1] + pl_off[1]
             blk = res.block(t.name, 0.0)

@@ -59,6 +59,12 @@ class TestFieldFormat:
         p.write_text("ORIFIELD 1 3 2 1 nematic\n0 0 0\n0 0\n")
         with pytest.raises(ParseError, match="line 3"):
             read_field(p)
+        # data after the last row is an error too; trailing blank lines are not
+        p.write_text("ORIFIELD 1 3 2 1 nematic\n0 0 0\n0 0 0\n\n9 9 9\nhello\n")
+        with pytest.raises(ParseError, match="line 5"):
+            read_field(p)
+        p.write_text("ORIFIELD 1 3 2 1 nematic\n0 0 0\n0 0 0\n\n  \n")
+        assert read_field(p).ny == 2
 
     def test_missing_row(self, tmp_path):
         p = tmp_path / "short.orif"
@@ -70,6 +76,9 @@ class TestFieldFormat:
         p = tmp_path / "nan.orif"
         p.write_text("ORIFIELD 1 2 2 1 polar\n0 nan\n0 0\n")
         with pytest.raises(InvalidAngle):
+            read_field(p)
+        p.write_text("ORIFIELD 1 2 2 inf polar\n0 0\n0 0\n")
+        with pytest.raises(ValueError, match="finite"):
             read_field(p)
 
     def test_angles_canonicalized_on_read(self, tmp_path):
@@ -210,6 +219,7 @@ class TestCli:
         assert main(["charge", "--field", "x"]) == 1  # missing required flags
         assert main(["generate", "--charge", "1/2", "--center", "nope",
                      "--size", "8,8", "--out", "f"]) == 1
+        assert main(["oracle", "--template", "single", "--charge", "1/2", "--mode", "circular"]) == 1
 
     def test_data_errors_exit_2(self, tmp_path, capsys):
         assert main(["charge", "--field", str(tmp_path / "missing.orif"),
@@ -220,7 +230,17 @@ class TestCli:
                      "--at", "0,0"]) == 2
         cfg = tmp_path / "bad.json"
         for text, named in [("{not json", "property name"), ('{"n_center": 5}', "'n_center'"),
-                            ('{"grid": {"nz": 4}}', "'nz'"), ("[1]", "list")]:
+                            ('{"grid": {"nz": 4}}', "'nz'"), ("[1]", "list"),
+                            ('{"n_centers": 2.7}', "'n_centers'"),
+                            ('{"n_noise_realizations": true}', "'n_noise_realizations'"),
+                            ('{"grid": {"nx": 32.0}}', "'nx'"),
+                            ('{"templates": "single"}', "'templates'"),
+                            ('{"templates": ["single", 3]}', "'templates'"),
+                            ('{"noise_amplitudes": [true]}', "'noise_amplitudes'"),
+                            ('{"grid": {"h": Infinity}}', "spacing h"),
+                            ('{"phase": Infinity}', "phase"),
+                            ('{"noise_amplitudes": [0.0, NaN]}', "noise_amplitudes"),
+                            ('{"noise_amplitudes": [0.0, Infinity]}', "noise_amplitudes")]:
             cfg.write_text(text)
             assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "r.csv"),
                          "--summary", str(tmp_path / "s.txt")]) == 2
