@@ -4,8 +4,8 @@ The theoretical interval for a template is the [min, max] of the noise-free
 path robustness of the pure winding field, evaluated on a dense deterministic
 grid of defect centers over the template's central unit sampling square.
 Sweeps sample centers uniformly from the same square (counter-based on the
-base seed), optionally add uniform angle noise per realization, and record
-per-sample charge and robustness.
+base seed), optionally add uniform angle noise below P/2 per realization,
+and record per-sample charge and robustness.
 
 Sample values are computed from the synthesis formulas evaluated at the path
 vertices only; because both the field and the noise are pointwise functions
@@ -16,15 +16,15 @@ parallelism and scheduling.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 
 import numpy as np
 
 from .core import OrientationField, PeriodMode, canonicalize, winding
 from .core import wrap_diff  # unused here, but bench/tracing.py patches experiments.wrap_diff
-from .errors import SweepFailure
-from .synthesis import _validate_charge, counter_uniform, derive_seed
+from .errors import DefectRobustError, SweepFailure
+from .synthesis import _on_grid_vertex, _validate_amplitude, _validate_charge, counter_uniform, derive_seed
 from .templates import BUILTIN_TEMPLATE_NAMES, Placement, Template, builtin_template, center_placement
 
 # Stream tags for sub-seed derivation.
@@ -57,42 +57,23 @@ class IntervalEstimate:
     n_oracle_samples: int
 
 
-def _json(kind, name: str, convert=None):
-    """Converter of a JSON value that must be a ``kind`` (never a boolean)."""
-    def parse(value):
-        if isinstance(value, bool) or not isinstance(value, kind):
-            raise TypeError(f"expected a JSON {name}")
-        return value if convert is None else convert(value)
-    return parse
+def _check_oracle_density(density: int) -> int:
+    if density < 2:
+        raise ValueError(f"oracle_density must be >= 2 per axis, got {density}")
+    return density
 
 
-_INT = _json(int, "integer")
-_NUMBER = _json((int, float), "number", float)
-_STRING = _json(str, "string")
-
-#: Sweep JSON keys and how each value becomes a ``SweepConfig`` field; the
-#: ``grid`` object is parsed with its own keys.
-_SWEEP_JSON = {
-    "templates": _json(list, "array of strings", lambda v: tuple(map(_STRING, v))), "n_centers": _INT,
-    "noise_amplitudes": _json(list, "array of numbers", lambda v: tuple(map(_NUMBER, v))),
-    "n_noise_realizations": _INT, "base_seed": _INT, "mode": PeriodMode.from_name,
-    "charge": lambda v: Fraction(str(v)), "phase": _NUMBER, "oracle_density": _INT, "grid": lambda grid: grid,
-}
-_SWEEP_JSON_GRID = {"nx": _INT, "ny": _INT, "h": _NUMBER}
+def _typed(value, kinds, what: str, least=None):
+    """``value`` if it is one of ``kinds`` and not below ``least``; a bool never passes as an int."""
+    if isinstance(value, bool) or not isinstance(value, kinds):
+        raise TypeError(f"expected {what}")
+    if least is not None and value < least:
+        raise ValueError(f"must be >= {least}")
+    return value
 
 
-def _json_fields(raw, fields: dict, where: str) -> dict:
-    if not isinstance(raw, dict):
-        raise ValueError(f"{where} must be a JSON object, not {type(raw).__name__}")
-    out = {}
-    for key, value in raw.items():
-        if key not in fields:
-            raise ValueError(f"unknown key {key!r} in {where}; known: {', '.join(fields)}")
-        try:
-            out[key] = fields[key](value)
-        except (TypeError, ValueError, AttributeError) as exc:
-            raise ValueError(f"bad value {value!r} for {key!r} in {where}: {exc}") from None
-    return out
+def _sequence(value, kinds, what: str) -> tuple:
+    return tuple(_typed(v, kinds, what) for v in _typed(value, (list, tuple), f"a list or tuple of {what}"))
 
 
 @dataclass(frozen=True)
@@ -107,25 +88,29 @@ class SweepConfig:
     h: float = 1.0
     mode: PeriodMode = PeriodMode.NEMATIC
     charge: Fraction = Fraction(1, 2)
-    phase: float = 0.0
     oracle_density: int = ORACLE_DENSITY
 
     def __post_init__(self):
-        resolved = tuple(
-            t if isinstance(t, Template) else builtin_template(t) for t in self.templates
-        )
-        object.__setattr__(self, "templates", resolved)
-        object.__setattr__(self, "noise_amplitudes", tuple(float(a) for a in self.noise_amplitudes))
-        object.__setattr__(self, "charge", Fraction(self.charge))
-        if self.n_centers < 1:
-            raise ValueError("n_centers must be >= 1")
-        if not all(0.0 <= a < math.inf for a in self.noise_amplitudes):
-            raise ValueError(f"noise_amplitudes must be finite and >= 0, got {self.noise_amplitudes}")
-        if not math.isfinite(self.phase):
-            raise ValueError(f"phase must be finite, got {self.phase}")
-        if self.n_noise_realizations < 1:
-            raise ValueError("n_noise_realizations must be >= 1")
-        _validate_charge(self.charge, self.mode)
+        """Checks every field's type and range, however the config is built; a bad
+        value raises ValueError naming its field."""
+        def check(name, convert):
+            value = getattr(self, name)
+            try:
+                object.__setattr__(self, name, convert(value))
+            except (TypeError, ValueError, ArithmeticError, DefectRobustError) as exc:
+                raise ValueError(f"bad sweep config {name!r} = {value!r}: {exc}") from None
+
+        for name, least in (("n_centers", 1), ("n_noise_realizations", 1), ("base_seed", None), ("nx", 2), ("ny", 2)):
+            check(name, lambda v, least=least: _typed(v, int, "an integer", least))
+        check("oracle_density", lambda v: _check_oracle_density(_typed(v, int, "an integer")))
+        check("h", lambda v: float(_typed(v, (int, float), "a number")))
+        check("mode", lambda v: v if isinstance(v, PeriodMode) else PeriodMode.from_name(_typed(v, str, "a mode name")))
+        check("charge", lambda v: _validate_charge(Fraction(_typed(v, (int, float, str, Fraction), "a charge")),
+                                                   self.mode))
+        check("noise_amplitudes", lambda v: tuple(_validate_amplitude(float(a), self.mode)
+                                                  for a in _sequence(v, (int, float), "numbers")))
+        check("templates", lambda v: tuple(t if isinstance(t, Template) else builtin_template(t)
+                                           for t in _sequence(v, (str, Template), "names or Templates")))
         blank = OrientationField(h=self.h, mode=self.mode, angles=np.zeros((self.ny, self.nx)))
         for t in self.templates:
             center_placement(t, blank).validate_in(blank, margin=1)
@@ -134,11 +119,23 @@ class SweepConfig:
     def from_mapping(cls, raw, base_seed: int = 0) -> "SweepConfig":
         """Config from a parsed sweep JSON object, keyed as the fields with ``nx``,
         ``ny``, ``h`` in a ``grid`` object.  Missing keys take the defaults (all
-        builtin templates, ``base_seed``); unknown keys and non-objects raise ValueError.
+        builtin templates, ``base_seed``); a non-object or an unknown key raises
+        ValueError, and ``__post_init__`` checks the values.
         """
-        values = _json_fields(raw, _SWEEP_JSON, "sweep config")
-        grid = _json_fields(values.pop("grid", {}), _SWEEP_JSON_GRID, "sweep config 'grid'")
+        grid_keys = ("nx", "ny", "h")
+        keys = [f.name for f in fields(cls) if f.name not in grid_keys] + ["grid"]
+        values = _json_object(raw, keys, "sweep config")
+        grid = _json_object(values.pop("grid", {}), grid_keys, "sweep config 'grid'")
         return cls(**{"templates": BUILTIN_TEMPLATE_NAMES, "base_seed": base_seed, **values, **grid})
+
+
+def _json_object(raw, keys, where: str) -> dict:
+    if not isinstance(raw, dict):
+        raise ValueError(f"{where} must be a JSON object, not {type(raw).__name__}")
+    for key in raw:
+        if key not in keys:
+            raise ValueError(f"unknown key {key!r} in {where}; known: {', '.join(keys)}")
+    return dict(raw)
 
 
 @dataclass
@@ -216,7 +213,7 @@ class ConvergenceRow:
     analytic_lower_bound: float
 
 
-def _clean_vertex_angles(verts_xy: np.ndarray, centers_xy: np.ndarray, q: float, phase: float, mode: PeriodMode):
+def _clean_vertex_angles(verts_xy: np.ndarray, centers_xy: np.ndarray, q: float, mode: PeriodMode):
     """Winding-field angles at path vertices for a batch of centers.
 
     ``verts_xy``: (nv, 2) vertex positions; ``centers_xy``: (..., 2).
@@ -225,7 +222,7 @@ def _clean_vertex_angles(verts_xy: np.ndarray, centers_xy: np.ndarray, q: float,
     """
     dx = verts_xy[:, 0] - centers_xy[..., 0:1]
     dy = verts_xy[:, 1] - centers_xy[..., 1:2]
-    return canonicalize(q * np.arctan2(dy, dx) + phase, mode)
+    return canonicalize(q * np.arctan2(dy, dx), mode)
 
 
 def _oracle_axis(center: float, density: int) -> np.ndarray:
@@ -243,7 +240,7 @@ def analytic_path_robustness(template: Template, centers, q, mode: PeriodMode = 
     """
     verts = np.asarray(template.boundary.vertices, dtype=float)
     centers = np.asarray(centers, dtype=float)
-    theta = _clean_vertex_angles(verts, centers, float(Fraction(q)), 0.0, mode)
+    theta = _clean_vertex_angles(verts, centers, float(Fraction(q)), mode)
     return np.min(winding(theta, mode)[3], axis=-1)
 
 
@@ -262,8 +259,7 @@ def theoretical_interval(
     ``cross`` at density 200 ``lower`` is 0.78790, while centers on the
     square's boundary reach 0.78540) or rise above ``upper``.
     """
-    if oracle_density < 2:
-        raise ValueError("oracle_density must be >= 2 per axis")
+    _check_oracle_density(oracle_density)
     verts = np.asarray(template.boundary.vertices, dtype=float)
     cx, cy = template.centroid
     xs = _oracle_axis(cx, oracle_density)
@@ -297,34 +293,20 @@ def _draw_centers(config: SweepConfig, placement: Placement):
     Centers that land exactly on a grid vertex (where the winding field is
     undefined) are redrawn, up to 100 times per sample.
     """
-    n = config.n_centers
     pcx, pcy = placement.template.centroid
     pcx += placement.offset[0]
     pcy += placement.offset[1]
-    ux = counter_uniform(derive_seed(config.base_seed, _STREAM_CENTER_X, 0), np.arange(n)) - 0.5
-    uy = counter_uniform(derive_seed(config.base_seed, _STREAM_CENTER_Y, 0), np.arange(n)) - 0.5
-    cx = (pcx + ux) * config.h
-    cy = (pcy + uy) * config.h
-
-    def degenerate(cx, cy):
-        ci = np.rint(cx / config.h)
-        cj = np.rint(cy / config.h)
-        return (ci * config.h == cx) & (cj * config.h == cy) & (ci >= 0) & (ci < config.nx) & (cj >= 0) & (cj < config.ny)
-
-    bad = degenerate(cx, cy)
-    retry = 0
-    while np.any(bad):
-        retry += 1
-        if retry > 100:
-            raise SweepFailure("could not draw a non-degenerate defect center in 100 retries")
-        idx = np.nonzero(bad)[0]
+    centers = np.empty((config.n_centers, 2))
+    idx = np.arange(config.n_centers)
+    for retry in range(101):
         ux = counter_uniform(derive_seed(config.base_seed, _STREAM_CENTER_X, retry), idx) - 0.5
         uy = counter_uniform(derive_seed(config.base_seed, _STREAM_CENTER_Y, retry), idx) - 0.5
-        cx[idx] = (pcx + ux) * config.h
-        cy[idx] = (pcy + uy) * config.h
-        bad[:] = False
-        bad[idx] = degenerate(cx[idx], cy[idx])
-    return np.column_stack([cx, cy])
+        centers[idx, 0] = (pcx + ux) * config.h
+        centers[idx, 1] = (pcy + uy) * config.h
+        idx = idx[_on_grid_vertex(centers[idx, 0], centers[idx, 1], config.h, config.nx, config.ny)]
+        if len(idx) == 0:
+            return centers
+    raise SweepFailure("could not draw a non-degenerate defect center in 100 retries")
 
 
 def run_sweep(config: SweepConfig) -> SweepResult:
@@ -337,7 +319,9 @@ def run_sweep(config: SweepConfig) -> SweepResult:
     vertex, so any sample can be recomputed in isolation.  The amplitude is
     not in the key: every amplitude scales one uniform draw per (center,
     realization, vertex).  These common random numbers pair the per-amplitude
-    comparisons as the shared centers pair noisy with clean.
+    comparisons as the shared centers pair noisy with clean.  Every amplitude
+    lies in [0, P/2), the range ``add_noise`` takes, so the samples match
+    ``add_noise`` on the synthesized field; ``SweepConfig`` rejects any other.
 
     Centers are evaluated in chunks of ``_CHUNK_ELEMENTS`` /
     (n_noise_realizations * n_vertices), so the intermediate arrays stay the
@@ -368,7 +352,7 @@ def run_sweep(config: SweepConfig) -> SweepResult:
         step = _centers_per_chunk(nreal * len(vflat))
         for start in range(0, config.n_centers, step):
             rows = slice(start, start + step)
-            theta_clean = _clean_vertex_angles(verts, centers[rows], q, config.phase, config.mode)
+            theta_clean = _clean_vertex_angles(verts, centers[rows], q, config.mode)
             if noisy:
                 noise = 2.0 * counter_uniform(seeds[rows, :, None], vflat[None, None, :]) - 1.0
             for amplitude, (k_out, r_out) in out.items():
@@ -436,8 +420,7 @@ def convergence_study(
 
     The rows are reported as-is and any assertions are left to callers.
     """
-    q = Fraction(q)
-    _validate_charge(q, mode)
+    q = _validate_charge(Fraction(q), mode)
     p = mode.period
     rows = []
     for n in sizes:

@@ -94,9 +94,24 @@ class NoiseSpec:
             raise ValueError("noise amplitude must be >= 0")
 
 
-def _validate_charge(q: Fraction, mode: PeriodMode):
+def _validate_charge(q: Fraction, mode: PeriodMode) -> Fraction:
     if (q * mode.periods_per_turn).denominator != 1:
         raise ValueError(f"{mode.value} charge must be a multiple of {Fraction(1, mode.periods_per_turn)}, got {q}")
+    return q
+
+
+def _validate_amplitude(amplitude: float, mode: PeriodMode) -> float:
+    """Noise amplitudes lie in [0, P/2); at P/2 a perturbation can wrap an edge difference."""
+    if not 0.0 <= amplitude < mode.period / 2.0:
+        raise ValueError(f"noise amplitude {amplitude} must be >= 0 and below P/2 = {mode.period / 2}")
+    return amplitude
+
+
+def _on_grid_vertex(cx, cy, h: float, nx: int, ny: int):
+    """Whether each center (x, y) lies exactly on an in-grid vertex, where the winding angle is undefined."""
+    ci = np.rint(cx / h)
+    cj = np.rint(cy / h)
+    return (ci * h == cx) & (cj * h == cy) & (ci >= 0) & (ci < nx) & (cj >= 0) & (cj < ny)
 
 
 def synth_defect_field(
@@ -116,9 +131,8 @@ def synth_defect_field(
     cx, cy = spec.center
     if not (0.0 <= cx <= (nx - 1) * h and 0.0 <= cy <= (ny - 1) * h):
         raise ValueError(f"center {spec.center} outside grid extent")
-    ci, cj = round(cx / h), round(cy / h)
-    if ci * h == cx and cj * h == cy and 0 <= ci < nx and 0 <= cj < ny:
-        raise DegenerateCenter(f"center {spec.center} coincides with grid vertex ({ci}, {cj})")
+    if _on_grid_vertex(cx, cy, h, nx, ny):
+        raise DegenerateCenter(f"center {spec.center} coincides with grid vertex ({round(cx / h)}, {round(cy / h)})")
 
     xs = np.arange(nx) * h - cx
     ys = np.arange(ny) * h - cy
@@ -143,7 +157,6 @@ def add_noise(field: OrientationField, noise: NoiseSpec) -> OrientationField:
     The input field is unchanged; amplitude 0 reproduces it bit-exactly.
     Amplitudes at or above P/2 are rejected as wrap-degenerate.
     """
-    if noise.amplitude >= field.mode.period / 2.0:
-        raise ValueError(f"noise amplitude {noise.amplitude} must be below P/2 = {field.mode.period / 2}")
+    _validate_amplitude(noise.amplitude, field.mode)
     delta = noise_offsets(noise, np.arange(field.ny * field.nx)).reshape(field.ny, field.nx)
     return field.with_angles(canonicalize(field.angles + delta, field.mode))

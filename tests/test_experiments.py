@@ -1,4 +1,6 @@
 """Theoretical intervals, Monte Carlo sweeps, ranking, convergence."""
+import dataclasses
+import json
 import math
 from fractions import Fraction
 
@@ -12,6 +14,7 @@ from defect_robust import (
     OrientationField,
     PeriodMode,
     SweepConfig,
+    SweepFailure,
     Template,
     add_noise,
     analytic_path_robustness,
@@ -26,6 +29,7 @@ from defect_robust import (
     synth_defect_field,
     theoretical_interval,
 )
+from defect_robust import experiments
 from defect_robust.experiments import _centers_per_chunk
 
 NEM = PeriodMode.NEMATIC
@@ -141,6 +145,33 @@ class TestRunSweep:
                     assert path_robustness(g, pl.path()).path_robustness == noisy.robustness[j]
                     assert float(estimate_charge(g, pl.path()).charge) == noisy.charge[j]
 
+    def test_centers_on_a_grid_vertex_are_redrawn(self, monkeypatch):
+        # a first draw of 0.5 puts every centre on the 2x2 template's centroid, a grid vertex
+        real = experiments.counter_uniform
+        seeds = []
+
+        def first_draw_centred(seed, counter):
+            seeds.append(seed)
+            return np.full(len(counter), 0.5) if len(seeds) <= 2 else real(seed, counter)
+
+        monkeypatch.setattr(experiments, "counter_uniform", first_draw_centred)
+        res = run_sweep(_small_config(templates=("2x2",), noise_amplitudes=(0.0,)))
+        assert len(seeds) == 4  # the first draw and one redraw, per axis
+        blk = res.block("2x2", 0.0)
+        t = res.config.templates[0]
+        pl = center_placement(t, OrientationField(h=1.0, mode=NEM, angles=np.zeros((32, 32))))
+        index = np.arange(res.config.n_centers)
+        for axis, centers in ((0, blk.center_x), (1, blk.center_y)):
+            redraw = real(derive_seed(0, axis + 1, 1), index)  # stream tags 1 (x) and 2 (y), retry 1
+            assert np.array_equal(centers, (t.centroid[axis] + pl.offset[axis]) + (redraw - 0.5))
+
+        seeds.clear()
+        monkeypatch.setattr(experiments, "counter_uniform",
+                            lambda seed, counter: seeds.append(seed) or np.full(len(counter), 0.5))
+        with pytest.raises(SweepFailure, match="100 retries"):
+            run_sweep(_small_config(templates=("2x2",), noise_amplitudes=(0.0,)))
+        assert len(seeds) == 2 * 101  # the first draw and 100 redraws, per axis
+
     def test_noise_free_agreement_is_exact(self):
         res = run_sweep(_small_config())
         for t in res.config.templates:
@@ -168,6 +199,36 @@ class TestRunSweep:
         ell = Template.from_cells("ell", {(a, 0) for a in range(8)} | {(0, b) for b in range(1, 8)})
         with pytest.raises(ValueError, match="'ell'"):
             _small_config(templates=(ell,), nx=11, ny=11)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("n_centers", 2.7), ("n_noise_realizations", True), ("nx", 32.0),
+    ("templates", "single"), ("templates", ("single", 3)),
+    ("noise_amplitudes", (True,)), ("noise_amplitudes", (math.nan,)), ("noise_amplitudes", (math.inf,)),
+    ("noise_amplitudes", (2.0,)),  # at or above P/2 = 1.571, as add_noise rejects it
+    ("oracle_density", 1), ("mode", "circular"), ("charge", True),
+])
+def test_config_rejects_bad_fields(field, value):
+    # built directly, as library callers and the benchmark build it, not through the JSON
+    with pytest.raises(ValueError, match=f"'{field}'"):
+        _small_config(**{field: value})
+
+
+def test_config_json_round_trip():
+    cfg = SweepConfig(templates=("cross", "3x3"), n_centers=7, noise_amplitudes=(0.5, 3.0),
+                      n_noise_realizations=4, base_seed=9, nx=20, ny=24, h=0.5, mode=PeriodMode.POLAR,
+                      charge=-1, oracle_density=31)
+    default = SweepConfig(templates=BUILTIN_TEMPLATE_NAMES)
+    for f in dataclasses.fields(SweepConfig):
+        assert getattr(cfg, f.name) != getattr(default, f.name), f.name
+    text = json.dumps({"templates": [t.name for t in cfg.templates], "n_centers": cfg.n_centers,
+                       "noise_amplitudes": list(cfg.noise_amplitudes),
+                       "n_noise_realizations": cfg.n_noise_realizations, "base_seed": cfg.base_seed,
+                       "grid": {"nx": cfg.nx, "ny": cfg.ny, "h": cfg.h}, "mode": cfg.mode.value,
+                       "charge": str(cfg.charge), "oracle_density": cfg.oracle_density})
+    back = SweepConfig.from_mapping(json.loads(text))
+    for f in dataclasses.fields(SweepConfig):
+        assert getattr(back, f.name) == getattr(cfg, f.name), f.name
 
 
 class TestRanking:

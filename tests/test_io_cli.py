@@ -238,9 +238,15 @@ class TestCli:
                             ('{"templates": ["single", 3]}', "'templates'"),
                             ('{"noise_amplitudes": [true]}', "'noise_amplitudes'"),
                             ('{"grid": {"h": Infinity}}', "spacing h"),
-                            ('{"phase": Infinity}', "phase"),
+                            # a global rotation changes no charge or robustness, so the
+                            # sweep has no phase: the key is unknown
+                            ('{"phase": Infinity}', "unknown key 'phase'"),
                             ('{"noise_amplitudes": [0.0, NaN]}', "noise_amplitudes"),
-                            ('{"noise_amplitudes": [0.0, Infinity]}', "noise_amplitudes")]:
+                            ('{"noise_amplitudes": [0.0, Infinity]}', "noise_amplitudes"),
+                            ('{"noise_amplitudes": [0.0, 2.0]}', "'noise_amplitudes'"),  # above P/2
+                            ('{"oracle_density": 1}', "'oracle_density'"),
+                            ('{"mode": "circular"}', "'mode'"), ('{"charge": true}', "'charge'"),
+                            ('{"charge": "1/0"}', "'charge'")]:
             cfg.write_text(text)
             assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "r.csv"),
                          "--summary", str(tmp_path / "s.txt")]) == 2
