@@ -1,8 +1,8 @@
 """Command-line surface: generate / charge / robustness / scan / oracle /
 sweep / convergence.
 
-Exit codes: 0 success, 1 usage error, 2 data error.  All randomness is
-controlled by --seed (default 0).
+Exit codes: 0 success, 1 usage error, 2 data error.  Only a sweep is random: its
+seed is --seed or the sweep JSON's base_seed (default 0), which must not differ.
 """
 from __future__ import annotations
 
@@ -62,7 +62,7 @@ def _add_mode(parser):
 
 def _build_parser() -> _Parser:
     parser = _Parser(prog="defect-robust", description=__doc__)
-    parser.add_argument("--seed", type=int, default=0, help="base seed for all randomness")
+    parser.add_argument("--seed", type=int, help="base seed of a sweep (default: the config's base_seed, else 0)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("generate", help="synthesize a defect field file")

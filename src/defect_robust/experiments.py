@@ -32,8 +32,6 @@ _STREAM_CENTER_X = 1
 _STREAM_CENTER_Y = 2
 _STREAM_NOISE = 3
 
-_VERTEX_EXCLUSION = 1e-9
-
 #: Oracle grid points per axis unless the caller sets a density.
 ORACLE_DENSITY = 200
 
@@ -116,17 +114,19 @@ class SweepConfig:
             center_placement(t, blank).validate_in(blank, margin=1)
 
     @classmethod
-    def from_mapping(cls, raw, base_seed: int = 0) -> "SweepConfig":
+    def from_mapping(cls, raw, base_seed: int | None = None) -> "SweepConfig":
         """Config from a parsed sweep JSON object, keyed as the fields with ``nx``,
-        ``ny``, ``h`` in a ``grid`` object.  Missing keys take the defaults (all
-        builtin templates, ``base_seed``); a non-object or an unknown key raises
-        ValueError, and ``__post_init__`` checks the values.
+        ``ny``, ``h`` in a ``grid`` object.  Missing keys take the defaults (all builtin
+        templates, ``base_seed`` if given); a non-object, an unknown key or a ``base_seed``
+        unequal to the object's raises ValueError, and ``__post_init__`` checks the values.
         """
         grid_keys = ("nx", "ny", "h")
         keys = [f.name for f in fields(cls) if f.name not in grid_keys] + ["grid"]
         values = _json_object(raw, keys, "sweep config")
         grid = _json_object(values.pop("grid", {}), grid_keys, "sweep config 'grid'")
-        return cls(**{"templates": BUILTIN_TEMPLATE_NAMES, "base_seed": base_seed, **values, **grid})
+        if base_seed is not None and values.setdefault("base_seed", base_seed) != base_seed:
+            raise ValueError(f"sweep config 'base_seed' = {values['base_seed']!r} differs from seed {base_seed}")
+        return cls(**{"templates": BUILTIN_TEMPLATE_NAMES, **values, **grid})
 
 
 def _json_object(raw, keys, where: str) -> dict:
@@ -253,38 +253,32 @@ def theoretical_interval(
     """Sampled robustness interval over the template's central sampling square.
 
     Evaluates the analytic noise-free robustness on an inclusive
-    density x density grid of defect centers (centers within 1e-9 of a path
-    vertex are excluded) and returns the grid's min and max.  Neither end is
-    certified: robustness between grid points can fall below ``lower`` (on
-    ``cross`` at density 200 ``lower`` is 0.78790, while centers on the
-    square's boundary reach 0.78540) or rise above ``upper``.
+    density x density grid of defect centers, less the points on a path
+    vertex (where the angle is undefined), and returns the grid's min and max.
+    Neither end is certified: robustness between grid points can fall below
+    ``lower`` (on ``cross`` at density 200 ``lower`` is 0.78790, while centers
+    on the square's boundary reach 0.78540) or rise above ``upper``.
     """
     _check_oracle_density(oracle_density)
-    verts = np.asarray(template.boundary.vertices, dtype=float)
     cx, cy = template.centroid
     xs = _oracle_axis(cx, oracle_density)
     ys = _oracle_axis(cy, oracle_density)
     n_grid = len(xs) * len(ys)
-    step = _centers_per_chunk(len(verts))
+    # Flat indices of the points on a path vertex, each once: the axes strictly increase, a path repeats no vertex.
+    on_vertex = [j * len(xs) + i for vx, vy in template.boundary.vertices
+                 for i in np.flatnonzero(xs == vx) for j in np.flatnonzero(ys == vy)]
+    step = _centers_per_chunk(len(template.boundary.vertices))
 
     lower = math.inf
     upper = -math.inf
-    kept = 0
     for start in range(0, n_grid, step):
         idx = np.arange(start, min(start + step, n_grid))
+        idx = idx[~np.isin(idx, on_vertex)]
         chunk = np.column_stack([xs[idx % len(xs)], ys[idx // len(xs)]])
-        d2 = np.min(
-            (chunk[:, 0:1] - verts[:, 0]) ** 2 + (chunk[:, 1:2] - verts[:, 1]) ** 2,
-            axis=1,
-        )
-        chunk = chunk[d2 > _VERTEX_EXCLUSION**2]
-        if len(chunk) == 0:
-            continue
         r = analytic_path_robustness(template, chunk, q, mode)
-        kept += len(chunk)
-        lower = min(lower, float(np.min(r)))
-        upper = max(upper, float(np.max(r)))
-    return IntervalEstimate(lower=lower, upper=upper, n_oracle_samples=kept)
+        lower = float(np.min(r, initial=lower))
+        upper = float(np.max(r, initial=upper))
+    return IntervalEstimate(lower=lower, upper=upper, n_oracle_samples=n_grid - len(on_vertex))
 
 
 def _draw_centers(config: SweepConfig, placement: Placement):

@@ -53,6 +53,8 @@ def read_field(path) -> OrientationField:
         mode = PeriodMode.from_name(header[5])
     except ValueError as exc:
         raise ParseError(f"{path}: line 1: {exc}") from None
+    if nx < 0 or ny < 0:
+        raise ParseError(f"{path}: line 1: negative grid size {nx}x{ny}")
     if len(lines) - 1 < ny:
         raise ParseError(f"{path}: line {len(lines) + 1}: expected {ny} data rows, found {len(lines) - 1}")
     rows = []

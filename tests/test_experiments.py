@@ -77,6 +77,28 @@ class TestTheoreticalInterval:
             assert fine.lower <= coarse.lower + 1e-12
             assert fine.upper >= coarse.upper - 1e-12
 
+    def test_excluded_points_are_the_path_vertices(self):
+        # density 3: the sampling square's corners, side midpoints and centroid;
+        # all four corners of single and cross are path vertices, while 2x2's
+        # centroid (1, 1) is a lattice point inside the path
+        for name, count in (("single", 5), ("2x2", 9), ("cross", 5)):
+            assert theoretical_interval(builtin_template(name), HALF, oracle_density=3).n_oracle_samples == count
+
+    def test_matches_the_full_grid_without_path_vertices(self):
+        density = 301
+        for name in BUILTIN_TEMPLATE_NAMES:
+            t = builtin_template(name)
+            verts = np.asarray(t.boundary.vertices, dtype=float)
+            xs, ys = (experiments._oracle_axis(c, density) for c in t.centroid)
+            step = _centers_per_chunk(len(verts))
+            assert len(xs) * len(ys) > 2 * step and len(xs) * len(ys) % step != 0
+            gx, gy = np.meshgrid(xs, ys)
+            grid = np.column_stack([gx.ravel(), gy.ravel()])
+            on_vertex = np.any((grid[:, None, 0] == verts[:, 0]) & (grid[:, None, 1] == verts[:, 1]), axis=1)
+            r = analytic_path_robustness(t, grid[~on_vertex], HALF)
+            iv = theoretical_interval(t, HALF, oracle_density=density)
+            assert (iv.lower, iv.upper, iv.n_oracle_samples) == (r.min(), r.max(), len(r))
+
     def test_density_validation(self):
         with pytest.raises(ValueError):
             theoretical_interval(builtin_template("single"), HALF, oracle_density=1)

@@ -54,6 +54,13 @@ class TestFieldFormat:
         with pytest.raises(ParseError, match="line 1"):
             read_field(p)
 
+    def test_negative_size_names_line_1(self, tmp_path):
+        p = tmp_path / "neg.orif"
+        for header in ("ORIFIELD 1 2 -3 1.0 nematic", "ORIFIELD 1 -2 2 1.0 nematic"):
+            p.write_text(header + "\n0 0\n0 0\n")
+            with pytest.raises(ParseError, match="line 1"):
+                read_field(p)
+
     def test_truncated_row_names_line(self, tmp_path):
         p = tmp_path / "trunc.orif"
         p.write_text("ORIFIELD 1 3 2 1 nematic\n0 0 0\n0 0\n")
@@ -214,6 +221,17 @@ class TestCli:
         assert r1.read_bytes() == r2.read_bytes()
         assert s1.read_bytes() == s2.read_bytes()
 
+    def test_seed_flag_equals_config_base_seed(self, tmp_path, capsys):
+        base = '{"templates": ["single"], "n_centers": 20, "noise_amplitudes": [0.0, 0.2], "n_noise_realizations": 2'
+        outputs = []
+        for flag, key in ((["--seed", "7"], ""), ([], ', "base_seed": 7'), (["--seed", "7"], ', "base_seed": 7')):
+            cfg, rpt, summ = tmp_path / "c.json", tmp_path / f"r{len(outputs)}.csv", tmp_path / f"s{len(outputs)}.txt"
+            cfg.write_text(base + key + "}")
+            assert main([*flag, "sweep", "--config", str(cfg), "--out", str(rpt), "--summary", str(summ)]) == 0
+            outputs.append((rpt.read_bytes(), summ.read_bytes()))
+        assert outputs[0] == outputs[1] == outputs[2]
+        assert b"base_seed = 7\n" in outputs[0][1]
+
     def test_usage_errors_exit_1(self, capsys):
         assert main(["bogus"]) == 1
         assert main(["charge", "--field", "x"]) == 1  # missing required flags
@@ -251,6 +269,12 @@ class TestCli:
             assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "r.csv"),
                          "--summary", str(tmp_path / "s.txt")]) == 2
             assert named in capsys.readouterr().err
+        # a --seed that differs from the config's base_seed names both
+        cfg.write_text('{"templates": ["single"], "n_centers": 2, "noise_amplitudes": [0.0], "base_seed": 5}')
+        assert main(["--seed", "1", "sweep", "--config", str(cfg), "--out", str(tmp_path / "r.csv"),
+                     "--summary", str(tmp_path / "s.txt")]) == 2
+        err = capsys.readouterr().err
+        assert "'base_seed' = 5 differs from seed 1" in err
 
     def test_unknown_template_is_data_error(self, tmp_path, capsys):
         out = tmp_path / "f.orif"
