@@ -49,11 +49,10 @@ from .synthesis import (
 )
 from .templates import (
     BUILTIN_TEMPLATE_NAMES,
-    Placement,
     Template,
     boundary_of_cells,
     builtin_template,
-    center_placement,
+    center_offset,
     max_view_angle,
 )
 

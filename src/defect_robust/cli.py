@@ -23,7 +23,7 @@ from .experiments import (
 )
 from .fieldio import read_field, write_field, write_report, write_summary
 from .synthesis import DefectSpec, synth_defect_field
-from .templates import Placement, builtin_template
+from .templates import builtin_template
 
 
 class _UsageError(Exception):
@@ -106,13 +106,6 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _placement(args, field):
-    template = builtin_template(args.template)
-    placement = Placement(template=template, offset=args.at)
-    placement.validate_in(field)
-    return template, placement
-
-
 def _cmd_generate(args) -> int:
     spec = DefectSpec(charge=args.charge, center=args.center, phase=args.phase)
     field = synth_defect_field(spec, args.size[0], args.size[1], args.spacing, args.mode)
@@ -122,8 +115,7 @@ def _cmd_generate(args) -> int:
 
 def _cmd_charge(args) -> int:
     field = read_field(args.field)
-    _, placement = _placement(args, field)
-    estimate = estimate_charge(field, placement.path())
+    estimate = estimate_charge(field, builtin_template(args.template).boundary.translated(args.at))
     print(f"charge = {estimate.charge}")
     print(f"raw_sum = {estimate.raw_sum:.17g}")
     print(f"residual = {estimate.residual:.17g}")
@@ -132,8 +124,8 @@ def _cmd_charge(args) -> int:
 
 def _cmd_robustness(args) -> int:
     field = read_field(args.field)
-    template, placement = _placement(args, field)
-    report = path_robustness(field, placement.path())
+    template = builtin_template(args.template)
+    report = path_robustness(field, template.boundary.translated(args.at))
     print(f"robustness = {report.path_robustness:.17g}")
     print(f"min_edge = {report.min_edge[0]} -> {report.min_edge[1]}")
     print(f"normalized = {report.path_robustness / template.resolution:.17g}")

@@ -106,6 +106,12 @@ def edge_robustness(theta_i, theta_j, mode: PeriodMode):
     return out
 
 
+def _check_spacing(h: float) -> float:
+    if not (0 < h < math.inf):
+        raise ValueError(f"grid spacing h must be positive and finite, got {h}")
+    return h
+
+
 @dataclass(frozen=True)
 class OrientationField:
     """Rectangular grid of orientation angles with spacing ``h``.
@@ -123,8 +129,7 @@ class OrientationField:
         arr = np.asarray(self.angles, dtype=float)
         if arr.ndim != 2 or min(arr.shape) < 2:
             raise ValueError(f"angles must be a 2-D array of at least 2x2, got shape {arr.shape}")
-        if not (0 < self.h < math.inf):
-            raise ValueError(f"grid spacing h must be positive and finite, got {self.h}")
+        _check_spacing(self.h)
         arr = np.ascontiguousarray(canonicalize(arr, self.mode))
         arr.flags.writeable = False
         object.__setattr__(self, "angles", arr)
@@ -166,35 +171,24 @@ class LatticePath:
             if abs(i1 - i0) + abs(j1 - j0) != 1:
                 raise InvalidPath(f"vertices {(i0, j0)} and {(i1, j1)} are not lattice 4-neighbors")
 
-    @property
-    def n_edges(self) -> int:
-        return len(self.vertices)
-
     def edge(self, k: int):
         """Endpoints of edge ``k`` in traversal order."""
         n = len(self.vertices)
         return self.vertices[k % n], self.vertices[(k + 1) % n]
 
-    def reversed(self) -> "LatticePath":
-        return LatticePath(tuple(reversed(self.vertices)))
-
-    def rotated(self, k: int) -> "LatticePath":
-        """Cyclic shift of the start vertex."""
-        k %= len(self.vertices)
-        return LatticePath(self.vertices[k:] + self.vertices[:k])
-
     def translated(self, offset) -> "LatticePath":
         dx, dy = int(offset[0]), int(offset[1])
         return LatticePath(tuple((i + dx, j + dy) for i, j in self.vertices))
 
-    def grid_indices(self, field: OrientationField, margin: int = 0):
-        """The vertices' (row, column) index arrays into ``field.angles``, or
-        None if a vertex lies outside the field shrunk by ``margin`` per side."""
+    def grid_indices(self, nx: int, ny: int, margin: int = 0):
+        """The vertices' (row, column) index arrays into an (ny, nx) angle array.
+
+        Raises InvalidPath if a vertex lies outside the grid shrunk by ``margin`` per side.
+        """
         ii = np.array([v[0] for v in self.vertices])
         jj = np.array([v[1] for v in self.vertices])
-        ny, nx = field.angles.shape
         if ii.min() < margin or jj.min() < margin or ii.max() >= nx - margin or jj.max() >= ny - margin:
-            return None
+            raise InvalidPath(f"path leaves the field of {nx}x{ny} vertices (margin {margin})")
         return jj, ii
 
 
@@ -255,10 +249,7 @@ def winding(theta, mode: PeriodMode):
 
 
 def _path_angles(field: OrientationField, path: LatticePath) -> np.ndarray:
-    indices = path.grid_indices(field)
-    if indices is None:
-        raise InvalidPath("path leaves the field")
-    return field.angles[indices]
+    return field.angles[path.grid_indices(field.nx, field.ny)]
 
 
 def estimate_charge(field: OrientationField, path: LatticePath) -> ChargeEstimate:

@@ -21,11 +21,11 @@ from fractions import Fraction
 
 import numpy as np
 
-from .core import OrientationField, PeriodMode, canonicalize, winding
+from .core import PeriodMode, _check_spacing, canonicalize, winding
 from .core import wrap_diff  # unused here, but bench/tracing.py patches experiments.wrap_diff
-from .errors import DefectRobustError, SweepFailure
+from .errors import DefectRobustError, InvalidPath, SweepFailure
 from .synthesis import _on_grid_vertex, _validate_amplitude, _validate_charge, counter_uniform, derive_seed
-from .templates import BUILTIN_TEMPLATE_NAMES, Placement, Template, builtin_template, center_placement
+from .templates import BUILTIN_TEMPLATE_NAMES, Template, builtin_template, center_offset
 
 # Stream tags for sub-seed derivation.
 _STREAM_CENTER_X = 1
@@ -101,7 +101,7 @@ class SweepConfig:
         for name, least in (("n_centers", 1), ("n_noise_realizations", 1), ("base_seed", None), ("nx", 2), ("ny", 2)):
             check(name, lambda v, least=least: _typed(v, int, "an integer", least))
         check("oracle_density", lambda v: _check_oracle_density(_typed(v, int, "an integer")))
-        check("h", lambda v: float(_typed(v, (int, float), "a number")))
+        check("h", lambda v: _check_spacing(float(_typed(v, (int, float), "a number"))))
         check("mode", lambda v: v if isinstance(v, PeriodMode) else PeriodMode.from_name(_typed(v, str, "a mode name")))
         check("charge", lambda v: _validate_charge(Fraction(_typed(v, (int, float, str, Fraction), "a charge")),
                                                    self.mode))
@@ -109,9 +109,11 @@ class SweepConfig:
                                                   for a in _sequence(v, (int, float), "numbers")))
         check("templates", lambda v: tuple(t if isinstance(t, Template) else builtin_template(t)
                                            for t in _sequence(v, (str, Template), "names or Templates")))
-        blank = OrientationField(h=self.h, mode=self.mode, angles=np.zeros((self.ny, self.nx)))
         for t in self.templates:
-            center_placement(t, blank).validate_in(blank, margin=1)
+            try:
+                t.boundary.translated(center_offset(t, self.nx, self.ny)).grid_indices(self.nx, self.ny, margin=1)
+            except InvalidPath as exc:
+                raise ValueError(f"bad sweep config 'templates': centred template {t.name!r}: {exc}") from None
 
     @classmethod
     def from_mapping(cls, raw, base_seed: int | None = None) -> "SweepConfig":
@@ -255,11 +257,13 @@ def theoretical_interval(
     Evaluates the analytic noise-free robustness on an inclusive
     density x density grid of defect centers, less the points on a path
     vertex (where the angle is undefined), and returns the grid's min and max.
+    A charge that ``mode`` cannot have raises ValueError.
     Neither end is certified: robustness between grid points can fall below
     ``lower`` (on ``cross`` at density 200 ``lower`` is 0.78790, while centers
     on the square's boundary reach 0.78540) or rise above ``upper``.
     """
     _check_oracle_density(oracle_density)
+    _validate_charge(Fraction(q), mode)
     cx, cy = template.centroid
     xs = _oracle_axis(cx, oracle_density)
     ys = _oracle_axis(cy, oracle_density)
@@ -281,15 +285,14 @@ def theoretical_interval(
     return IntervalEstimate(lower=lower, upper=upper, n_oracle_samples=n_grid - len(on_vertex))
 
 
-def _draw_centers(config: SweepConfig, placement: Placement):
-    """Uniform centers, (n_centers, 2), in the placed template's central unit square.
+def _draw_centers(config: SweepConfig, template: Template, offset):
+    """Uniform centers, (n_centers, 2), in the central unit square of ``template`` moved by ``offset``.
 
     Centers that land exactly on a grid vertex (where the winding field is
     undefined) are redrawn, up to 100 times per sample.
     """
-    pcx, pcy = placement.template.centroid
-    pcx += placement.offset[0]
-    pcy += placement.offset[1]
+    pcx = template.centroid[0] + offset[0]
+    pcy = template.centroid[1] + offset[1]
     centers = np.empty((config.n_centers, 2))
     idx = np.arange(config.n_centers)
     for retry in range(101):
@@ -323,7 +326,6 @@ def run_sweep(config: SweepConfig) -> SweepResult:
     """
     blocks = {}
     oracles = {}
-    blank = OrientationField(h=config.h, mode=config.mode, angles=np.zeros((config.ny, config.nx)))
     q = float(config.charge)
     nreal = config.n_noise_realizations
     noisy = any(a != 0.0 for a in config.noise_amplitudes)
@@ -332,11 +334,11 @@ def run_sweep(config: SweepConfig) -> SweepResult:
                             np.arange(nreal)[None, :])
 
     for template in config.templates:
-        placement = center_placement(template, blank)
-
-        verts = np.asarray(placement.path().vertices, dtype=float) * config.h
-        vflat = np.array([j * config.nx + i for i, j in placement.path().vertices])
-        centers = _draw_centers(config, placement)
+        offset = center_offset(template, config.nx, config.ny)
+        path = template.boundary.translated(offset)
+        verts = np.asarray(path.vertices, dtype=float) * config.h
+        vflat = np.array([j * config.nx + i for i, j in path.vertices])
+        centers = _draw_centers(config, template, offset)
         centers.flags.writeable = False
 
         # Per amplitude: k and robustness, shaped (n_centers, realizations).

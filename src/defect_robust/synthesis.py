@@ -12,7 +12,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .core import OrientationField, PeriodMode, canonicalize
+from .core import OrientationField, PeriodMode, _check_spacing, canonicalize
 from .errors import DegenerateCenter
 
 _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
@@ -124,9 +124,11 @@ def synth_defect_field(
     """Pure phase-winding field: theta(p) = q * atan2(p - center) + phase.
 
     The winding of the result about the center is exactly the requested
-    charge.  The center must lie inside the grid extent and off every grid
-    vertex (the angle is undefined at the vertex itself).
+    charge.  The spacing ``h`` must be positive and finite, and the center
+    must lie inside the grid extent and off every grid vertex (the angle is
+    undefined at the vertex itself).
     """
+    _check_spacing(h)
     _validate_charge(Fraction(spec.charge), mode)
     cx, cy = spec.center
     if not (0.0 <= cx <= (nx - 1) * h and 0.0 <= cy <= (ny - 1) * h):

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import LatticePath, OrientationField, PeriodMode, wrap_diff
+from .core import LatticePath, PeriodMode, wrap_diff
 from .errors import DegenerateCenter, InvalidCellSet, UnknownTemplate
 
 #: Stable CLI-facing identifiers of the figure templates.
@@ -101,14 +101,6 @@ class Template:
         ys = [b + 0.5 for _, b in self.cells]
         return (sum(xs) / len(xs), sum(ys) / len(ys))
 
-    def translated(self, offset) -> "Template":
-        dx, dy = int(offset[0]), int(offset[1])
-        return Template(
-            name=self.name,
-            cells=frozenset((a + dx, b + dy) for a, b in self.cells),
-            boundary=self.boundary.translated((dx, dy)),
-        )
-
 
 def builtin_template(name: str) -> Template:
     """Look up a canonical template by its stable identifier.
@@ -128,27 +120,10 @@ def builtin_template(name: str) -> Template:
     raise UnknownTemplate(f"unknown template {name!r}; known: {', '.join(BUILTIN_TEMPLATE_NAMES)}, square(n)")
 
 
-@dataclass(frozen=True)
-class Placement:
-    """A template translated by an integer grid offset."""
-
-    template: Template
-    offset: tuple
-
-    def path(self) -> LatticePath:
-        return self.template.boundary.translated(self.offset)
-
-    def validate_in(self, field: OrientationField, margin: int = 0):
-        if self.path().grid_indices(field, margin) is None:
-            raise ValueError(f"template {self.template.name!r} at offset {self.offset} leaves the "
-                             f"{field.nx}x{field.ny} field (margin {margin})")
-
-
-def center_placement(template: Template, field: OrientationField) -> Placement:
-    """Placement whose centroid lands nearest the middle of the field."""
+def center_offset(template: Template, nx: int, ny: int) -> tuple:
+    """Integer offset that lands the template's centroid nearest the middle of an nx x ny grid."""
     cx, cy = template.centroid
-    off = (round((field.nx - 1) / 2 - cx), round((field.ny - 1) / 2 - cy))
-    return Placement(template=template, offset=off)
+    return (round((nx - 1) / 2 - cx), round((ny - 1) / 2 - cy))
 
 
 def max_view_angle(template: Template, center) -> float:

@@ -45,7 +45,7 @@ from defect_robust import (
     analytic_path_robustness,
     boundary_of_cells,
     builtin_template,
-    center_placement,
+    center_offset,
     convergence_study,
     estimate_charge,
     normalize_and_rank,
@@ -87,13 +87,12 @@ def _recovery_samples(q, mode, template_name, n_centers=1000, seed=17):
     """
     t = builtin_template(template_name)
     grid = 24
-    f0 = OrientationField(h=1.0, mode=mode, angles=np.zeros((grid, grid)))
-    pl = center_placement(t, f0)
-    path = pl.path()
+    off = center_offset(t, grid, grid)
+    path = t.boundary.translated(off)
     verts = np.asarray(path.vertices, dtype=float)
     turns_per_wrap = Fraction(1, 2) if mode is NEM else Fraction(1)
-    cx0 = t.centroid[0] + pl.offset[0]
-    cy0 = t.centroid[1] + pl.offset[1]
+    cx0 = t.centroid[0] + off[0]
+    cy0 = t.centroid[1] + off[1]
     rng = np.random.default_rng(seed)
     samples = []
     for _ in range(n_centers):

@@ -119,7 +119,6 @@ class TestOrientationField:
 class TestLatticePath:
     def test_unit_cell_cycle(self):
         p = LatticePath(((0, 0), (1, 0), (1, 1), (0, 1)))
-        assert p.n_edges == 4
         assert p.edge(3) == ((0, 1), (0, 0))
 
     def test_rejects_diagonal_and_repeat(self):
@@ -136,11 +135,9 @@ class TestLatticePath:
         with pytest.raises(InvalidPath, match="at least 4 vertices"):
             LatticePath(((0, 0), (1, 0)))
 
-    def test_reversed_and_rotated(self):
+    def test_translated(self):
         p = LatticePath(((0, 0), (1, 0), (1, 1), (0, 1)))
-        assert p.reversed().vertices == ((0, 1), (1, 1), (1, 0), (0, 0))
-        assert p.rotated(2).vertices == ((1, 1), (0, 1), (0, 0), (1, 0))
-        assert p.translated((3, -1)).vertices[0] == (3, -1)
+        assert p.translated((3, -1)).vertices == ((3, -1), (4, -1), (4, 0), (3, 0))
 
 
 def _vortex_field(q, n=8, center=(3.4, 3.6), mode=NEM, phase=0.3):
@@ -170,7 +167,7 @@ class TestEstimateCharge:
     def test_orientation_flips_sign(self):
         f = _vortex_field(0.5)
         est_ccw = estimate_charge(f, UNIT_SQUARE)
-        est_cw = estimate_charge(f, UNIT_SQUARE.reversed())
+        est_cw = estimate_charge(f, LatticePath(UNIT_SQUARE.vertices[::-1]))
         assert est_cw.charge == -est_ccw.charge
 
     def test_residual_always_tiny(self):
@@ -186,7 +183,7 @@ class TestEstimateCharge:
 
     def test_path_validation(self):
         f = _vortex_field(0.5)
-        with pytest.raises(InvalidPath, match="leaves the field"):
+        with pytest.raises(InvalidPath, match=r"leaves the field of 8x8 vertices \(margin 0\)"):
             estimate_charge(f, UNIT_SQUARE.translated((10, 0)))
         with pytest.raises(InvalidPath, match="leaves the field"):
             path_robustness(f, UNIT_SQUARE.translated((0, -4)))

@@ -11,7 +11,6 @@ from defect_robust import (
     BUILTIN_TEMPLATE_NAMES,
     DefectSpec,
     NoiseSpec,
-    OrientationField,
     PeriodMode,
     SweepConfig,
     SweepFailure,
@@ -19,7 +18,7 @@ from defect_robust import (
     add_noise,
     analytic_path_robustness,
     builtin_template,
-    center_placement,
+    center_offset,
     convergence_study,
     derive_seed,
     estimate_charge,
@@ -43,12 +42,11 @@ class TestAnalyticRobustness:
         t = builtin_template("2x2")
         centers = np.array([[0.73, 1.21], [1.49, 0.51], [1.03, 0.97]])
         r = analytic_path_robustness(t, centers, HALF)
-        f_dummy = OrientationField(h=1.0, mode=NEM, angles=np.zeros((16, 16)))
-        pl = center_placement(t, f_dummy)
+        off = center_offset(t, 16, 16)
         for k, c in enumerate(centers):
-            cx, cy = c[0] + pl.offset[0], c[1] + pl.offset[1]
+            cx, cy = c[0] + off[0], c[1] + off[1]
             f = synth_defect_field(DefectSpec(charge=HALF, center=(cx, cy)), 16, 16)
-            rep = path_robustness(f, pl.path())
+            rep = path_robustness(f, t.boundary.translated(off))
             assert r[k] == pytest.approx(rep.path_robustness, abs=1e-12)
 
     def test_square1_centroid_value(self):
@@ -131,11 +129,10 @@ class TestRunSweep:
 
     def test_centers_in_central_unit_square(self):
         res = run_sweep(_small_config())
-        blank = OrientationField(h=1.0, mode=NEM, angles=np.zeros((32, 32)))
         for t in res.config.templates:
-            pl_off = center_placement(t, blank).offset
-            cx0 = t.centroid[0] + pl_off[0]
-            cy0 = t.centroid[1] + pl_off[1]
+            off = center_offset(t, 32, 32)
+            cx0 = t.centroid[0] + off[0]
+            cy0 = t.centroid[1] + off[1]
             blk = res.block(t.name, 0.0)
             assert np.all(np.abs(blk.center_x - cx0) <= 0.5)
             assert np.all(np.abs(blk.center_y - cy0) <= 0.5)
@@ -152,20 +149,20 @@ class TestRunSweep:
             cfg = _small_config(templates=(name,), n_centers=n_centers)
             res = run_sweep(cfg)
             t = res.config.templates[0]
-            pl = center_placement(t, OrientationField(h=1.0, mode=NEM, angles=np.zeros((32, 32))))
+            path = t.boundary.translated(center_offset(t, 32, 32))
             clean = res.block(name, 0.0)
             noisy = res.block(name, 0.2)
             for i in indices:
                 f = synth_defect_field(DefectSpec(charge=HALF,
                                                   center=(clean.center_x[i], clean.center_y[i])),
                                        32, 32)
-                assert path_robustness(f, pl.path()).path_robustness == clean.robustness[i]
-                assert float(estimate_charge(f, pl.path()).charge) == clean.charge[i]
+                assert path_robustness(f, path).path_robustness == clean.robustness[i]
+                assert float(estimate_charge(f, path).charge) == clean.charge[i]
                 for r in range(cfg.n_noise_realizations):
                     g = add_noise(f, NoiseSpec(amplitude=0.2, seed=derive_seed(0, 3, i, r)))
                     j = i * cfg.n_noise_realizations + r
-                    assert path_robustness(g, pl.path()).path_robustness == noisy.robustness[j]
-                    assert float(estimate_charge(g, pl.path()).charge) == noisy.charge[j]
+                    assert path_robustness(g, path).path_robustness == noisy.robustness[j]
+                    assert float(estimate_charge(g, path).charge) == noisy.charge[j]
 
     def test_centers_on_a_grid_vertex_are_redrawn(self, monkeypatch):
         # a first draw of 0.5 puts every centre on the 2x2 template's centroid, a grid vertex
@@ -181,11 +178,11 @@ class TestRunSweep:
         assert len(seeds) == 4  # the first draw and one redraw, per axis
         blk = res.block("2x2", 0.0)
         t = res.config.templates[0]
-        pl = center_placement(t, OrientationField(h=1.0, mode=NEM, angles=np.zeros((32, 32))))
+        off = center_offset(t, 32, 32)
         index = np.arange(res.config.n_centers)
         for axis, centers in ((0, blk.center_x), (1, blk.center_y)):
             redraw = real(derive_seed(0, axis + 1, 1), index)  # stream tags 1 (x) and 2 (y), retry 1
-            assert np.array_equal(centers, (t.centroid[axis] + pl.offset[axis]) + (redraw - 0.5))
+            assert np.array_equal(centers, (t.centroid[axis] + off[axis]) + (redraw - 0.5))
 
         seeds.clear()
         monkeypatch.setattr(experiments, "counter_uniform",
@@ -229,6 +226,7 @@ class TestRunSweep:
     ("noise_amplitudes", (True,)), ("noise_amplitudes", (math.nan,)), ("noise_amplitudes", (math.inf,)),
     ("noise_amplitudes", (2.0,)),  # at or above P/2 = 1.571, as add_noise rejects it
     ("oracle_density", 1), ("mode", "circular"), ("charge", True),
+    ("h", math.inf), ("h", 0.0),
 ])
 def test_config_rejects_bad_fields(field, value):
     # built directly, as library callers and the benchmark build it, not through the JSON

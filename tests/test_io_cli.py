@@ -201,6 +201,10 @@ class TestCli:
                      "--density", "60"]) == 0
         kv = dict(ln.split(" = ") for ln in capsys.readouterr().out.splitlines())
         assert math.pi / 4 - 1e-9 <= float(kv["lower"]) <= float(kv["upper"]) <= math.pi / 2
+        # a charge the mode cannot have is a data error, as in sweep, generate and convergence
+        for charge, mode in (("1/3", "nematic"), ("1/2", "polar")):
+            assert main(["oracle", "--template", "single", "--charge", charge, "--mode", mode]) == 2
+            assert f"{mode} charge must be a multiple" in capsys.readouterr().err
 
     def test_convergence_subcommand(self, capsys):
         assert main(["convergence", "--charge", "1/2", "--sizes", "1,2,4",
@@ -242,6 +246,11 @@ class TestCli:
     def test_data_errors_exit_2(self, tmp_path, capsys):
         assert main(["charge", "--field", str(tmp_path / "missing.orif"),
                      "--template", "single", "--at", "0,0"]) == 2
+        # the spacing is checked before anything divides by it or scales the centre's range
+        for spacing, center in (("0", "0,0"), ("0", "7.4,7.3"), ("nan", "7.4,7.3")):
+            assert main(["generate", "--charge", "1/2", "--center", center, "--size", "16,16",
+                         "--spacing", spacing, "--out", str(tmp_path / "g.orif")]) == 2
+            assert "grid spacing h" in capsys.readouterr().err
         bad = tmp_path / "bad.orif"
         bad.write_text("garbage\n")
         assert main(["robustness", "--field", str(bad), "--template", "single",
@@ -282,3 +291,7 @@ class TestCli:
               "--size", "8,8", "--out", str(out)])
         assert main(["charge", "--field", str(out), "--template", "blob",
                      "--at", "0,0"]) == 2
+        # one fit check, in the estimator, names the grid
+        for command in ("charge", "robustness"):
+            assert main([command, "--field", str(out), "--template", "3x3", "--at", "6,0"]) == 2
+            assert "leaves the field of 8x8 vertices" in capsys.readouterr().err

@@ -8,13 +8,11 @@ from defect_robust import (
     BUILTIN_TEMPLATE_NAMES,
     DegenerateCenter,
     InvalidCellSet,
-    OrientationField,
-    PeriodMode,
-    Placement,
+    InvalidPath,
     UnknownTemplate,
     boundary_of_cells,
     builtin_template,
-    center_placement,
+    center_offset,
     max_view_angle,
 )
 
@@ -69,7 +67,7 @@ class TestBuiltins:
     def test_sizes(self, name, n_cells, n_edges):
         t = builtin_template(name)
         assert len(t.cells) == n_cells
-        assert t.boundary.n_edges == n_edges
+        assert len(t.boundary.vertices) == n_edges
         assert t.resolution == pytest.approx(math.sqrt(n_cells))
 
     def test_name_normalization(self):
@@ -79,7 +77,7 @@ class TestBuiltins:
     def test_square_n(self):
         t = builtin_template("square(4)")
         assert len(t.cells) == 16
-        assert t.boundary.n_edges == 16
+        assert len(t.boundary.vertices) == 16
         assert builtin_template("square(1)").cells == builtin_template("single").cells
 
     def test_unknown_rejected(self):
@@ -93,32 +91,25 @@ class TestBuiltins:
         assert builtin_template("cross").centroid == (1.5, 1.5)
         assert builtin_template("3x3").centroid == (1.5, 1.5)
 
-    def test_translated(self):
-        t = builtin_template("2x2").translated((5, 7))
-        assert t.centroid == (6.0, 8.0)
-        assert min(t.boundary.vertices) == (5, 7)
-
-
-def _blank_field(nx=16, ny=16):
-    return OrientationField(h=1.0, mode=PeriodMode.NEMATIC, angles=np.zeros((ny, nx)))
-
 
 class TestPlacement:
-    def test_center_placement_is_central(self):
-        f = _blank_field()
-        for name in BUILTIN_TEMPLATE_NAMES:
-            t = builtin_template(name)
-            pl = center_placement(t, f)
-            cx = t.centroid[0] + pl.offset[0]
-            cy = t.centroid[1] + pl.offset[1]
-            assert abs(cx - (f.nx - 1) / 2) <= 0.5
-            assert abs(cy - (f.ny - 1) / 2) <= 0.5
-            pl.validate_in(f, margin=1)
+    def test_center_offset_is_central(self):
+        for nx, ny in ((16, 16), (17, 12)):
+            for name in BUILTIN_TEMPLATE_NAMES:
+                t = builtin_template(name)
+                di, dj = center_offset(t, nx, ny)
+                assert abs(t.centroid[0] + di - (nx - 1) / 2) <= 0.5
+                assert abs(t.centroid[1] + dj - (ny - 1) / 2) <= 0.5
+                jj, ii = t.boundary.translated((di, dj)).grid_indices(nx, ny, margin=1)
+                assert ii.min() >= 1 and jj.min() >= 1 and ii.max() <= nx - 2 and jj.max() <= ny - 2
 
-    def test_validate_in_rejects_overhang(self):
-        t = builtin_template("3x3")
-        with pytest.raises(ValueError):
-            Placement(template=t, offset=(14, 0)).validate_in(_blank_field())
+    def test_grid_indices_rejects_overhang(self):
+        path = builtin_template("3x3").boundary.translated((13, 1))
+        with pytest.raises(InvalidPath, match=r"leaves the field of 16x16 vertices \(margin 0\)"):
+            path.grid_indices(16, 16)
+        path.grid_indices(17, 16)
+        with pytest.raises(InvalidPath, match=r"17x16 vertices \(margin 1\)"):
+            path.grid_indices(17, 16, margin=1)
 
 
 class TestMaxViewAngle:
@@ -128,8 +119,9 @@ class TestMaxViewAngle:
 
     def test_shrinks_with_template_size(self):
         c = (0.5, 0.5)
-        angles = [max_view_angle(builtin_template(f"square({n})").translated(
-            (-(n // 2), -(n // 2))), c) for n in (1, 3, 5)]
+        # each square's middle cell holds the center
+        angles = [max_view_angle(builtin_template(f"square({n})"), (c[0] + n // 2, c[1] + n // 2))
+                  for n in (1, 3, 5)]
         assert angles[0] > angles[1] > angles[2]
 
     def test_arcsin_bound(self):
