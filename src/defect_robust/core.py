@@ -68,7 +68,12 @@ def canonicalize(angle, mode: PeriodMode):
     """
     arr = _as_finite_array(angle, "angle")
     p = mode.period
-    out = np.asarray(arr - p * np.floor(arr / p))
+    # arr - p*floor(arr/p), pass by pass in one fresh array.  A 0-d arr / p
+    # is a numpy scalar, which cannot take out=; empty_like keeps it an array.
+    out = np.divide(arr, p, out=np.empty_like(arr))
+    np.floor(out, out=out)
+    np.multiply(p, out, out=out)
+    np.subtract(arr, out, out=out)
     # Tiny negative inputs leave [0, p): arr / p underflows to -0.0, or floor
     # gives -1 and out rounds to p.  Fold in place; sweeps pass every sample.
     np.add(out, p, out=out, where=out < 0)
@@ -85,7 +90,11 @@ def wrap_diff(delta, mode: PeriodMode):
     """
     arr = _as_finite_array(delta, "angle difference")
     p = mode.period
-    out = arr - p * np.floor(0.5 + arr / p)
+    out = np.divide(arr, p, out=np.empty_like(arr))  # in place, as in canonicalize
+    np.add(0.5, out, out=out)
+    np.floor(out, out=out)
+    np.multiply(p, out, out=out)
+    np.subtract(arr, out, out=out)
     if np.ndim(delta) == 0:
         return float(out)
     return out

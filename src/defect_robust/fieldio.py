@@ -3,6 +3,13 @@
 ORIFIELD v1: line 1 is ``ORIFIELD 1 <nx> <ny> <h> <mode>``, followed by ny
 lines of nx space-separated angles in radians (row 0 = lowest y).  Angles
 are written with 17 significant digits, so write/read round-trips are exact.
+
+The sweep report CSV writes its floats the same way, ``%.17g``, so every
+value parses back to the sample bit for bit.  A report row repeats its
+centre once per noise realization and its charge takes a handful of values,
+so each centre's text is formatted once per template and each distinct
+charge's once per block; only the two robustness columns are formatted per
+row.
 """
 from __future__ import annotations
 
@@ -21,8 +28,10 @@ REPORT_COLUMNS = (
     "template", "amplitude", "sample_index", "center_x", "center_y",
     "charge", "robustness", "normalized_robustness",
 )
-#: Report columns after template and amplitude; ``%.17g`` formats as ``_fmt``.
-_REPORT_ROW = "%d,%.17g,%.17g,%.17g,%.17g,%.17g\n"
+#: Report columns after template and amplitude: sample index, the centre's and
+#: the charge's preformatted text, robustness, normalized robustness.  Every
+#: float is ``%.17g`` (as ``_fmt``), so the text round-trips exactly.
+_REPORT_ROW = "%d,%s,%s,%.17g,%.17g\n"
 
 #: Statistics of the robustness and the normalized robustness in the summary.
 _SUMMARY_STATS = (("min", np.min), ("max", np.max), ("mean", np.mean), ("stddev", np.std))
@@ -80,11 +89,20 @@ def write_report(result: SweepResult, path):
     """Sweep samples as CSV, ordered by (template, amplitude, sample_index)."""
     with open(path, "w") as fh:
         fh.write(",".join(REPORT_COLUMNS) + "\n")
+        centers = None
         for block in (result.blocks[key] for key in sorted(result.blocks)):
+            if block.centers is not centers:  # a template's blocks share one array
+                centers = block.centers
+                center_text = np.array(["%.17g,%.17g" % (x, y) for x, y in centers.tolist()], dtype=object)
+            # Distinct by bit pattern, so that -0.0 keeps its own text.
+            bits, inverse = np.unique(np.ascontiguousarray(block.charge, dtype=float).view(np.int64),
+                                      return_inverse=True)
+            charge_text = np.array(["%.17g" % q for q in bits.view(float).tolist()], dtype=object)
             prefix = f"{block.template},{_fmt(block.amplitude)},"
-            columns = (block.sample_index, block.center_x, block.center_y, block.charge,
-                       block.robustness, block.normalized)
-            fh.writelines(prefix + _REPORT_ROW % row for row in zip(*(c.tolist() for c in columns)))
+            rows = zip(range(len(block.robustness)),
+                       np.repeat(center_text, len(block.robustness) // len(centers)).tolist(),
+                       charge_text[inverse].tolist(), block.robustness.tolist(), block.normalized.tolist())
+            fh.writelines(prefix + _REPORT_ROW % row for row in rows)
 
 
 def write_summary(result: SweepResult, rank: RankReport, path):

@@ -58,6 +58,36 @@ class TestWrapping:
         out = wrap_diff(xs, mode)
         assert np.all((out >= -mode.period / 2) & (out < mode.period / 2))
 
+    @pytest.mark.parametrize("mode", [NEM, POL])
+    def test_in_place_kernels_match_the_formulas(self, mode):
+        # the one-line formulas the kernels compute pass by pass, in a fresh array
+        def canonical_ref(a, p):
+            out = np.asarray(a - p * np.floor(a / p))
+            np.add(out, p, out=out, where=out < 0)
+            np.subtract(out, p, out=out, where=out >= p)
+            return out
+
+        def wrap_ref(a, p):
+            return np.asarray(a - p * np.floor(0.5 + a / p))
+
+        p = mode.period
+        edge = [-5e-324, -122.52211349000194, -0.0, 0.0, 5e-324, -1e-300, p / 2, -p / 2, p, -p, 1e15]
+        xs = np.concatenate([edge, np.random.default_rng(0).uniform(-50.0, 50.0, 500)])
+        xs.flags.writeable = False  # a write into the caller's array raises
+        before = xs.copy()
+        for fn, ref in ((canonicalize, canonical_ref), (wrap_diff, wrap_ref)):
+            out = fn(xs, mode)
+            assert type(out) is np.ndarray and out.shape == xs.shape
+            assert out.tobytes() == ref(xs, p).tobytes()
+            for x in xs.tolist():
+                zero_d = np.array(x)
+                zero_d.flags.writeable = False
+                for arg in (x, zero_d):
+                    y = fn(arg, mode)
+                    assert type(y) is float
+                    assert np.float64(y).tobytes() == ref(np.float64(x), p).tobytes()
+        assert xs.tobytes() == before.tobytes()
+
     def test_wrap_diff_values(self):
         # frozen spot checks of delta - P*floor(0.5 + delta/P)
         assert wrap_diff(0.4, NEM) == pytest.approx(0.4)

@@ -1,4 +1,5 @@
 """ORIFIELD round trips, report/summary files, CLI exit codes."""
+import dataclasses
 import math
 
 import numpy as np
@@ -20,6 +21,18 @@ from defect_robust import (
 from defect_robust.cli import main
 
 NEM = PeriodMode.NEMATIC
+
+
+def _report_reference(result):
+    """The report as formatted one float at a time, every float ``%.17g``."""
+    text = "template,amplitude,sample_index,center_x,center_y,charge,robustness,normalized_robustness\n"
+    for key in sorted(result.blocks):
+        b = result.blocks[key]
+        prefix = f"{b.template},{b.amplitude:.17g},"
+        cols = (b.sample_index, b.center_x, b.center_y, b.charge, b.robustness, b.normalized)
+        text += "".join(prefix + "%d,%.17g,%.17g,%.17g,%.17g,%.17g\n" % row
+                        for row in zip(*(c.tolist() for c in cols)))
+    return text.encode()
 
 
 @pytest.fixture
@@ -126,11 +139,13 @@ class TestReportFiles:
 
         # every column parses back to the block's arrays bit for bit; cross and
         # 3x3 (resolutions sqrt(5) and 3) make robustness / resolution inexact,
-        # and noise 1.0 moves the charge both up and down
+        # and noise 1.0 moves the charge both up and down.  Both template
+        # orders are unsorted, and the file is byte-equal to the reference.
         cfg2 = SweepConfig(templates=("cross", "3x3"), n_centers=30,
                            noise_amplitudes=(0.0, 1.0), n_noise_realizations=3)
         for cfg, res in ((cfg, res), (cfg2, run_sweep(cfg2))):
             write_report(res, rpt)
+            assert rpt.read_bytes() == _report_reference(res)
             write_summary(res, normalize_and_rank(res), summ)
             rows = [ln.split(",") for ln in rpt.read_text().splitlines()[1:]]
             kv = dict(ln.split(" = ") for ln in summ.read_text().splitlines())
@@ -153,6 +168,21 @@ class TestReportFiles:
                     assert np.array_equal(norm, rob / t.resolution)
                     agreement = float(kv[f"{t.name}.amplitude_{i}.charge_agreement"])
                     assert agreement == np.mean(charge == float(cfg.charge))
+
+    def test_report_bytes_for_hand_built_blocks(self, tmp_path):
+        # -0.0 keeps its own text beside 0.0, and centres shared by no other
+        # block are formatted as they are
+        cfg = SweepConfig(templates=("single", "2x2"), n_centers=4,
+                          noise_amplitudes=(0.0, 0.2), n_noise_realizations=2)
+        res = run_sweep(cfg)
+        blk = res.block("2x2", 0.2)
+        charge = np.resize([-0.0, 0.0, 0.5, -0.0, -1.5, 5e-324], blk.charge.shape)
+        res.blocks[("2x2", 0.2)] = dataclasses.replace(blk, charge=charge, centers=blk.centers + 0.25)
+        rpt = tmp_path / "r.csv"
+        write_report(res, rpt)
+        assert rpt.read_bytes() == _report_reference(res)
+        rows = [r.split(",") for r in rpt.read_text().splitlines() if r.startswith("2x2,0.2")]
+        assert [r[5] for r in rows] == ["-0", "0", "0.5", "-0", "-1.5", "4.9406564584124654e-324", "-0", "0"]
 
     def test_rows_sorted(self, tmp_path):
         cfg = SweepConfig(templates=("2x2", "single"), n_centers=10,
