@@ -33,6 +33,20 @@ from defect_robust.experiments import _centers_per_chunk
 
 NEM = PeriodMode.NEMATIC
 HALF = Fraction(1, 2)
+# Non-convex; its sampling square [0.6, 1.6]^2 holds the reflex vertex (1, 1).
+ELL = Template.from_cells("ell", {(0, 0), (1, 0), (2, 0), (0, 1), (0, 2)})
+
+
+def _name(template):
+    return template.name
+
+
+def _oracle_grid(template, density):
+    """The oracle's grid of centers, less the points on a path vertex."""
+    verts = np.asarray(template.boundary.vertices, dtype=float)
+    gx, gy = np.meshgrid(*(experiments._oracle_axis(c, density) for c in template.centroid))
+    grid = np.column_stack([gx.ravel(), gy.ravel()])
+    return grid[~np.any((grid[:, None, 0] == verts[:, 0]) & (grid[:, None, 1] == verts[:, 1]), axis=1)]
 
 
 class TestAnalyticRobustness:
@@ -86,16 +100,46 @@ class TestTheoreticalInterval:
         density = 301
         for name in BUILTIN_TEMPLATE_NAMES:
             t = builtin_template(name)
-            verts = np.asarray(t.boundary.vertices, dtype=float)
             xs, ys = (experiments._oracle_axis(c, density) for c in t.centroid)
-            step = _centers_per_chunk(len(verts))
+            step = _centers_per_chunk(len(t.boundary.vertices))
             assert len(xs) * len(ys) > 2 * step and len(xs) * len(ys) % step != 0
-            gx, gy = np.meshgrid(xs, ys)
-            grid = np.column_stack([gx.ravel(), gy.ravel()])
-            on_vertex = np.any((grid[:, None, 0] == verts[:, 0]) & (grid[:, None, 1] == verts[:, 1]), axis=1)
-            r = analytic_path_robustness(t, grid[~on_vertex], HALF)
+            r = analytic_path_robustness(t, _oracle_grid(t, density), HALF)
             iv = theoretical_interval(t, HALF, oracle_density=density)
             assert (iv.lower, iv.upper, iv.n_oracle_samples) == (r.min(), r.max(), len(r))
+
+    @pytest.mark.parametrize("template", [builtin_template("square(1)"), builtin_template("2x2"), ELL], ids=_name)
+    @pytest.mark.parametrize("mode, q", [(NEM, Fraction(-3, 2)), (NEM, Fraction(5, 2)),
+                                         (PeriodMode.POLAR, Fraction(1)), (PeriodMode.POLAR, Fraction(-2))], ids=str)
+    def test_skipped_tiles_change_no_bit(self, template, mode, q):
+        # At -3/2 and 5/2 robustness reaches 0 inside the square, on square(1) along
+        # whole sides; 131 points per axis leave partial tiles at every tile side.
+        for density in (2, 3, 131):
+            r = analytic_path_robustness(template, _oracle_grid(template, density), q, mode)
+            iv = theoretical_interval(template, q, mode, oracle_density=density)
+            assert (iv.lower, iv.upper, iv.n_oracle_samples) == (r.min(), r.max(), len(r))
+
+    @pytest.mark.parametrize("template", [builtin_template("single"), builtin_template("cross"), ELL], ids=_name)
+    @pytest.mark.parametrize("mode, q", [(NEM, HALF), (NEM, Fraction(5, 2)), (PeriodMode.POLAR, Fraction(-2))], ids=str)
+    def test_tile_slack_bounds_every_point_of_the_tile(self, template, mode, q):
+        rng = np.random.default_rng(7)
+        verts = np.asarray(template.boundary.vertices, dtype=float)
+        xs, ys = (experiments._oracle_axis(c, 131) for c in template.centroid)
+        for _ in range(60):
+            side = rng.choice([2, 4, 5, 16])
+            i0, j0 = rng.integers(0, len(xs) - 1, size=2)
+            i1, j1 = min(i0 + side, len(xs)) - 1, min(j0 + side, len(ys)) - 1
+            im, jm = rng.integers(i0, i1 + 1), rng.integers(j0, j1 + 1)
+            tile = [np.array([v]) for v in (xs[i0], xs[i1], ys[j0], ys[j1], xs[im], ys[jm])]
+            slack = experiments._tile_slack(verts, float(q), *tile)[0]
+            holds = np.any((xs[i0] <= verts[:, 0]) & (verts[:, 0] <= xs[i1])
+                           & (ys[j0] <= verts[:, 1]) & (verts[:, 1] <= ys[j1]))
+            assert holds == (slack == math.inf)
+            if holds:
+                continue
+            gx, gy = np.meshgrid(xs[i0:i1 + 1], ys[j0:j1 + 1])
+            r = analytic_path_robustness(template, np.column_stack([gx.ravel(), gy.ravel()]), q, mode)
+            r_rep = analytic_path_robustness(template, [(xs[im], ys[jm])], q, mode)[0]
+            assert np.all(np.abs(r - r_rep) <= slack + 1e-12)
 
     def test_density_validation(self):
         with pytest.raises(ValueError):
