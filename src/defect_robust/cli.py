@@ -138,6 +138,9 @@ def _cmd_scan(args) -> int:
     verts = template.boundary.vertices
     xs = [v[0] for v in verts]
     ys = [v[1] for v in verts]
+    # The first placement: if it leaves the field, every placement does, and the
+    # one fit rule raises InvalidPath rather than an empty scan exiting 0.
+    template.boundary.translated((-min(xs), -min(ys))).grid_indices(field.nx, field.ny)
     lines = ["offset_i,offset_j,center_x,center_y,charge,robustness"]
     for dj in range(-min(ys), field.ny - 1 - max(ys) + 1):
         for di in range(-min(xs), field.nx - 1 - max(xs) + 1):

@@ -13,6 +13,7 @@ the estimate.
 
 ``winding`` is the one place where the wrapped edge differences are summed
 and quantized and their per-edge robustness computed, for one path or many.
+The path-vertex axis comes first, so a batch of paths is an (nv, ...) array.
 """
 from __future__ import annotations
 
@@ -230,23 +231,31 @@ class RobustnessReport:
 
 
 def winding(theta, mode: PeriodMode):
-    """Winding sums and per-edge robustness of closed paths, over the last axis.
+    """Winding sums and per-edge robustness of closed paths, over the first axis.
 
-    ``theta`` holds each path's vertex angles in traversal order, the first
-    vertex following the last.  Returns ``(raw_sum, k, residual, per_edge)``:
-    the sum of the wrapped successor differences, that sum in periods P
-    rounded to int64 (charge ``k / mode.periods_per_turn``), ``raw_sum - k*P``,
-    and ``P/2 - |wrapped difference|`` per edge.  Raises QuantizationFailure
-    if any |residual| reaches QUANTIZATION_TOL.
+    ``theta`` is (nv, ...): along axis 0, each path's vertex angles in
+    traversal order, the first vertex following the last.  Returns
+    ``(raw_sum, k, residual, per_edge)``: the sum of the wrapped successor
+    differences in path order, shaped ``theta.shape[1:]``; that sum in
+    periods P rounded to int64 (charge ``k / mode.periods_per_turn``);
+    ``raw_sum - k*P``; and ``P/2 - |wrapped difference|`` per edge, shaped as
+    ``theta``.  Raises QuantizationFailure if any |residual| reaches
+    QUANTIZATION_TOL.
     """
     theta = np.asarray(theta, dtype=float)
     p = mode.period
-    # Preallocated: np.roll or np.diff(append=) copy theta once more per call.
+    # Vertex-first, every pass runs over whole contiguous slabs, not row by row
+    # over a short last axis.  The [:1] and [-1:] slices keep out= an array for
+    # a 1-D path.
     d = np.empty_like(theta)
-    np.subtract(theta[..., 1:], theta[..., :-1], out=d[..., :-1])
-    np.subtract(theta[..., 0], theta[..., -1], out=d[..., -1])
+    np.subtract(theta[1:], theta[:-1], out=d[:-1])
+    np.subtract(theta[:1], theta[-1:], out=d[-1:])
     d = wrap_diff(d, mode)
-    raw = np.sum(d, axis=-1)
+    # Summed edge by edge: np.sum would add a 1-D path pairwise, so one path
+    # alone and the same path in a batch would differ in the last bit.
+    raw = d[0].copy()
+    for edge in d[1:]:
+        raw += edge
     k = np.rint(raw / p)
     residual = raw - k * p
     bad = np.abs(residual).max(initial=0.0)

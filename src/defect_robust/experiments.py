@@ -38,10 +38,11 @@ _STREAM_NOISE = 3
 #: Oracle grid points per axis unless the caller sets a density.
 ORACLE_DENSITY = 200
 
-#: Elements in each (centers, [realizations,] vertices) array of one chunk, in
-#: the sweep and the oracle.  At this size each chunk's arrays fit in cache and
-#: reuse the memory the previous chunk freed; at 2**18 a sweep page-faulted 3x
-#: as often and ran no faster.
+#: Elements in each (vertices, centers[, realizations]) array of one chunk in
+#: the sweep, and in each (vertices, centers) or (vertices, tiles) array of the
+#: oracle.  At this size each chunk's arrays fit in cache and reuse the memory
+#: the previous chunk freed; at 2**18 a sweep page-faulted 3x as often and ran
+#: no faster.
 _CHUNK_ELEMENTS = 1 << 16
 
 
@@ -231,11 +232,12 @@ def _clean_vertex_angles(verts_xy: np.ndarray, centers_xy: np.ndarray, q: float,
     """Winding-field angles at path vertices for a batch of centers.
 
     ``verts_xy``: (nv, 2) vertex positions; ``centers_xy``: (..., 2).
-    Returns an (..., nv) array, canonicalized.  Identical to sampling
-    ``synth_defect_field`` at those vertices.
+    Returns an (nv, ...) array, canonicalized, vertex-first as ``winding``
+    takes it.  Identical to sampling ``synth_defect_field`` at those vertices.
     """
-    dx = verts_xy[:, 0] - centers_xy[..., 0:1]
-    dy = verts_xy[:, 1] - centers_xy[..., 1:2]
+    column = (-1,) + (1,) * (np.ndim(centers_xy) - 1)
+    dx = verts_xy[:, 0].reshape(column) - centers_xy[..., 0]
+    dy = verts_xy[:, 1].reshape(column) - centers_xy[..., 1]
     return canonicalize(q * np.arctan2(dy, dx), mode)
 
 
@@ -255,7 +257,7 @@ def analytic_path_robustness(template: Template, centers, q, mode: PeriodMode = 
     verts = np.asarray(template.boundary.vertices, dtype=float)
     centers = np.asarray(centers, dtype=float)
     theta = _clean_vertex_angles(verts, centers, float(Fraction(q)), mode)
-    return np.min(winding(theta, mode)[3], axis=-1)
+    return np.min(winding(theta, mode)[3], axis=0)
 
 
 def _tile_slack(verts: np.ndarray, q: float, x0, x1, y0, y1, xr, yr) -> np.ndarray:
@@ -270,16 +272,16 @@ def _tile_slack(verts: np.ndarray, q: float, x0, x1, y0, y1, xr, yr) -> np.ndarr
     for a tile that holds a path vertex.  Arguments after ``q`` are 1-D, one
     entry per tile.
     """
-    vx, vy = verts[:, 0], verts[:, 1]
-    # Distances from each tile to each vertex, in place: the arrays are (tiles, vertices).
-    dist = np.maximum(x0[:, None] - vx, vx - x1[:, None])
-    dy = np.maximum(y0[:, None] - vy, vy - y1[:, None])
+    vx, vy = verts[:, 0:1], verts[:, 1:2]
+    # Distances from each vertex to each tile, in place: the arrays are (vertices, tiles).
+    dist = np.maximum(x0 - vx, vx - x1)
+    dy = np.maximum(y0 - vy, vy - y1)
     np.hypot(np.maximum(dist, 0.0, out=dist), np.maximum(dy, 0.0, out=dy), out=dist)
     inv = np.divide(1.0, dist, out=np.zeros_like(dist), where=dist > 0)
-    inv *= np.roll(inv, -1, axis=-1)
-    lip = abs(q) * np.max(inv, axis=-1)
+    inv *= np.roll(inv, -1, axis=0)
+    lip = abs(q) * np.max(inv, axis=0)
     rho = np.hypot(np.maximum(xr - x0, x1 - xr), np.maximum(yr - y0, y1 - yr))
-    return np.where(np.any(dist == 0, axis=-1), np.inf, lip * rho)
+    return np.where(np.any(dist == 0, axis=0), np.inf, lip * rho)
 
 
 def theoretical_interval(
@@ -384,6 +386,9 @@ def run_sweep(config: SweepConfig) -> SweepResult:
     Centers are evaluated in chunks of ``_CHUNK_ELEMENTS`` /
     (n_noise_realizations * n_vertices), so the intermediate arrays stay the
     same size whatever ``n_centers``; only ``charge`` and ``robustness`` grow per sample.
+    Each chunk's angles, noise and per-edge robustness are (vertices, centers,
+    realizations), vertex-first, so ``winding``'s sum and the minimum over
+    edges run over whole contiguous (centers, realizations) slabs.
     """
     blocks = {}
     oracles = {}
@@ -411,15 +416,15 @@ def run_sweep(config: SweepConfig) -> SweepResult:
             rows = slice(start, start + step)
             theta_clean = _clean_vertex_angles(verts, centers[rows], q, config.mode)
             if noisy:
-                noise = 2.0 * counter_uniform(seeds[rows, :, None], vflat[None, None, :]) - 1.0
+                noise = 2.0 * counter_uniform(seeds[None, rows, :], vflat[:, None, None]) - 1.0
             for amplitude, (k_out, r_out) in out.items():
                 if amplitude == 0.0:
-                    theta = theta_clean[:, None, :]
+                    theta = theta_clean[:, :, None]
                 else:
-                    theta = canonicalize(theta_clean[:, None, :] + amplitude * noise, config.mode)
+                    theta = canonicalize(theta_clean[:, :, None] + amplitude * noise, config.mode)
                 _, k, _, per_edge = winding(theta, config.mode)
                 k_out[rows] = k
-                np.min(per_edge, axis=-1, out=r_out[rows])
+                np.min(per_edge, axis=0, out=r_out[rows])
 
         for amplitude, (k, robustness) in out.items():
             blocks[(template.name, float(amplitude))] = SampleBlock(

@@ -244,17 +244,45 @@ class TestWinding:
         ii = np.array([v[0] for v in path.vertices])
         jj = np.array([v[1] for v in path.vertices])
         rng = np.random.default_rng(5)
-        theta = rng.uniform(0, mode.period, (300, len(ii)))
+        theta = rng.uniform(0, mode.period, (len(ii), 300))
         raw, k, residual, per_edge = winding(theta, mode)
         assert k.dtype == np.int64 and per_edge.shape == theta.shape
-        for n, row in enumerate(theta):
+        for n, column in enumerate(theta.T):
             angles = np.zeros((jj.max() + 2, ii.max() + 2))
-            angles[jj, ii] = row
+            angles[jj, ii] = column
             field = OrientationField.from_angles(angles, mode=mode)
             est = estimate_charge(field, path)
             rep = path_robustness(field, path)
             assert est.charge * mode.periods_per_turn == k[n]
             assert est.raw_sum == raw[n] and est.residual == residual[n]
-            assert np.array_equal(rep.per_edge, per_edge[n])
-            assert rep.min_edge == path.edge(int(np.argmin(per_edge[n])))
+            assert np.array_equal(rep.per_edge, per_edge[:, n])
+            assert rep.min_edge == path.edge(int(np.argmin(per_edge[:, n])))
         assert len(set(k.tolist())) > 3
+
+    @pytest.mark.parametrize("mode", [NEM, POL])
+    @pytest.mark.parametrize("nv", [4, 8, 12, 20])
+    @pytest.mark.parametrize("batch", [(), (1,), (37,), (5, 7)])
+    def test_vertex_first_layout_matches_last_axis_reference(self, mode, nv, batch):
+        rng = np.random.default_rng(nv)
+        # Several draws, so that a pairwise sum of a 1-D path shows in some of them.
+        for _ in range(20):
+            theta = rng.uniform(0, mode.period, (nv,) + batch)
+            raw, k, residual, per_edge = winding(theta, mode)
+            # The last-axis formulas, on the transposed array.
+            t = np.moveaxis(theta, 0, -1)
+            d = np.empty_like(t)
+            d[..., :-1] = t[..., 1:] - t[..., :-1]
+            d[..., -1] = t[..., 0] - t[..., -1]
+            d = wrap_diff(d, mode)
+            raw_ref = np.sum(d, axis=-1)
+            k_ref = np.rint(raw_ref / mode.period).astype(np.int64)
+            per_edge_ref = np.moveaxis(mode.period / 2.0 - np.abs(d), -1, 0)
+            assert np.shape(raw) == np.shape(k) == np.shape(residual) == batch
+            assert np.array_equal(k, k_ref)
+            assert per_edge.shape == theta.shape and np.array_equal(per_edge, per_edge_ref)
+            running = d[..., 0]
+            for e in range(1, nv):
+                running = running + d[..., e]
+            assert np.array_equal(raw, running)
+            assert np.allclose(raw, raw_ref, rtol=0.0, atol=1e-12)
+            assert np.array_equal(residual, raw - k * mode.period)

@@ -325,3 +325,16 @@ class TestCli:
         for command in ("charge", "robustness"):
             assert main([command, "--field", str(out), "--template", "3x3", "--at", "6,0"]) == 2
             assert "leaves the field of 8x8 vertices" in capsys.readouterr().err
+
+    def test_scan_with_a_template_that_fits_nowhere_is_data_error(self, tmp_path, capsys):
+        field = tmp_path / "f.orif"
+        main(["generate", "--charge", "1/2", "--center", "1.4,1.3", "--size", "4,4", "--out", str(field)])
+        capsys.readouterr()
+        out = tmp_path / "scan.csv"
+        # the one fit rule, with the message charge and robustness give; no header-only CSV
+        assert main(["scan", "--field", str(field), "--template", "3x3ext", "--out", str(out)]) == 2
+        assert "leaves the field of 4x4 vertices" in capsys.readouterr().err
+        assert not out.exists()
+        # a template that fits exactly once still scans
+        assert main(["scan", "--field", str(field), "--template", "3x3", "--out", str(out)]) == 0
+        assert out.read_text().splitlines()[0] == "offset_i,offset_j,center_x,center_y,charge,robustness"
