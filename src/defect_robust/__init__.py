@@ -9,7 +9,6 @@ from .core import (
     PeriodMode,
     RobustnessReport,
     canonicalize,
-    edge_robustness,
     estimate_charge,
     path_robustness,
     winding,

@@ -101,21 +101,6 @@ def wrap_diff(delta, mode: PeriodMode):
     return out
 
 
-def edge_robustness(theta_i, theta_j, mode: PeriodMode):
-    """Distance of theta_j - theta_i to the nearest wrap discontinuity P/2 + k*P.
-
-    Equals min over integer k of |theta_j - theta_i - P/2 - k*P|, always in
-    [0, P/2].  Accepts scalars or ndarrays.
-    """
-    ti = _as_finite_array(theta_i, "angle")
-    tj = _as_finite_array(theta_j, "angle")
-    p = mode.period
-    out = p / 2.0 - np.abs(wrap_diff(tj - ti, mode))
-    if np.ndim(theta_i) == 0 and np.ndim(theta_j) == 0:
-        return float(out)
-    return out
-
-
 def _check_spacing(h: float) -> float:
     if not (0 < h < math.inf):
         raise ValueError(f"grid spacing h must be positive and finite, got {h}")

@@ -8,7 +8,7 @@ on how fast each edge's view angle changes proves that most tiles of the grid
 hold neither, and those tiles are skipped.
 Sweeps sample centers uniformly from the same square (counter-based on the
 base seed), optionally add uniform angle noise below P/2 per realization,
-and record per-sample charge and robustness.
+and record per-sample winding count and robustness.
 
 Sample values are computed from the synthesis formulas evaluated at the path
 vertices only; because both the field and the noise are pointwise functions
@@ -87,6 +87,18 @@ def _sequence(value, kinds, what: str) -> tuple:
     return tuple(_typed(v, kinds, what) for v in _typed(value, (list, tuple), f"a list or tuple of {what}"))
 
 
+def _distinct(values, key=lambda v: v) -> tuple:
+    """``values`` as a tuple if it is not empty and no two values have equal keys."""
+    values = tuple(values)
+    if not values:
+        raise ValueError("must not be empty")
+    keys = [key(v) for v in values]
+    for i, k in enumerate(keys):
+        if k in keys[:i]:
+            raise ValueError(f"repeats {k!r}")
+    return values
+
+
 @dataclass(frozen=True)
 class SweepConfig:
     templates: tuple
@@ -118,10 +130,13 @@ class SweepConfig:
         check("mode", lambda v: v if isinstance(v, PeriodMode) else PeriodMode.from_name(_typed(v, str, "a mode name")))
         check("charge", lambda v: _validate_charge(Fraction(_typed(v, (int, float, str, Fraction), "a charge")),
                                                    self.mode))
-        check("noise_amplitudes", lambda v: tuple(_validate_amplitude(float(a), self.mode)
-                                                  for a in _sequence(v, (int, float), "numbers")))
-        check("templates", lambda v: tuple(t if isinstance(t, Template) else builtin_template(t)
-                                           for t in _sequence(v, (str, Template), "names or Templates")))
+        # Blocks are keyed by template name and amplitude value, so each must be
+        # unique; 0.0 and -0.0 are one amplitude.
+        check("noise_amplitudes", lambda v: _distinct(_validate_amplitude(float(a), self.mode)
+                                                      for a in _sequence(v, (int, float), "numbers")))
+        check("templates", lambda v: _distinct((t if isinstance(t, Template) else builtin_template(t)
+                                                for t in _sequence(v, (str, Template), "names or Templates")),
+                                               key=lambda t: t.name))
         for t in self.templates:
             try:
                 t.boundary.translated(center_offset(t, self.nx, self.ny)).grid_indices(self.nx, self.ny, margin=1)
@@ -157,16 +172,23 @@ def _json_object(raw, keys, where: str) -> dict:
 class SampleBlock:
     """All samples for one (template, noise amplitude) pair.
 
-    ``charge`` and ``robustness`` hold one entry per (center, realization),
-    center-major; the (n_centers, 2) ``centers`` are shared across amplitudes.
+    ``winding`` (the integer count k of periods P, in the smallest signed type
+    that holds the path's +-nv/2) and ``robustness`` hold one entry per
+    (center, realization), center-major; the (n_centers, 2) ``centers`` are
+    shared across amplitudes.  ``charge`` is derived, k / ``periods_per_turn``.
     """
 
     template: str
     amplitude: float
     resolution: float
+    periods_per_turn: int
     centers: np.ndarray
-    charge: np.ndarray
+    winding: np.ndarray
     robustness: np.ndarray
+
+    @property
+    def charge(self) -> np.ndarray:
+        return self.winding / self.periods_per_turn
 
     @property
     def sample_index(self) -> np.ndarray:
@@ -196,7 +218,8 @@ class SweepResult:
 
     def agreement(self, template_name: str, amplitude: float) -> float:
         """Fraction of the block's samples whose charge is the configured charge."""
-        return float(np.mean(self.block(template_name, amplitude).charge == float(self.config.charge)))
+        block = self.block(template_name, amplitude)
+        return float(np.mean(block.winding == int(self.config.charge * block.periods_per_turn)))
 
 
 @dataclass(frozen=True)
@@ -385,7 +408,10 @@ def run_sweep(config: SweepConfig) -> SweepResult:
 
     Centers are evaluated in chunks of ``_CHUNK_ELEMENTS`` /
     (n_noise_realizations * n_vertices), so the intermediate arrays stay the
-    same size whatever ``n_centers``; only ``charge`` and ``robustness`` grow per sample.
+    same size whatever ``n_centers``; only ``winding`` and ``robustness`` grow
+    per sample.  Each wrapped difference is at most P/2, so |k| <= nv/2, and
+    ``winding`` takes the smallest signed type holding that: 1 byte per sample
+    for every builtin template.
     Each chunk's angles, noise and per-edge robustness are (vertices, centers,
     realizations), vertex-first, so ``winding``'s sum and the minimum over
     edges run over whole contiguous (centers, realizations) slabs.
@@ -407,8 +433,10 @@ def run_sweep(config: SweepConfig) -> SweepResult:
         centers = _draw_centers(config, template, offset)
         centers.flags.writeable = False
 
-        # Per amplitude: k and robustness, shaped (n_centers, realizations).
-        out = {a: (np.empty((config.n_centers, 1 if a == 0.0 else nreal), dtype=np.int64),
+        # Per amplitude: k and robustness, shaped (n_centers, realizations).  The
+        # count type must hold +nv/2 as well: -(nv // 2) alone gives int8 at nv = 256.
+        k_type = np.min_scalar_type(-(len(vflat) // 2) - 1)
+        out = {a: (np.empty((config.n_centers, 1 if a == 0.0 else nreal), dtype=k_type),
                    np.empty((config.n_centers, 1 if a == 0.0 else nreal)))
                for a in config.noise_amplitudes}
         step = _centers_per_chunk(nreal * len(vflat))
@@ -431,8 +459,9 @@ def run_sweep(config: SweepConfig) -> SweepResult:
                 template=template.name,
                 amplitude=float(amplitude),
                 resolution=template.resolution,
+                periods_per_turn=config.mode.periods_per_turn,
                 centers=centers,
-                charge=k.reshape(-1) / config.mode.periods_per_turn,
+                winding=k.reshape(-1),
                 robustness=robustness.reshape(-1),
             )
 

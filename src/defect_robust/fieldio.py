@@ -6,10 +6,10 @@ are written with 17 significant digits, so write/read round-trips are exact.
 
 The sweep report CSV writes its floats the same way, ``%.17g``, so every
 value parses back to the sample bit for bit.  A report row repeats its
-centre once per noise realization and its charge takes a handful of values,
-so each centre's text is formatted once per template and each distinct
-charge's once per block; only the two robustness columns are formatted per
-row.
+centre once per noise realization and its winding count takes a handful of
+values, so each centre's text is formatted once per template and each
+distinct count's charge once per block; only the two robustness columns are
+formatted per row.
 """
 from __future__ import annotations
 
@@ -94,10 +94,8 @@ def write_report(result: SweepResult, path):
             if block.centers is not centers:  # a template's blocks share one array
                 centers = block.centers
                 center_text = np.array(["%.17g,%.17g" % (x, y) for x, y in centers.tolist()], dtype=object)
-            # Distinct by bit pattern, so that -0.0 keeps its own text.
-            bits, inverse = np.unique(np.ascontiguousarray(block.charge, dtype=float).view(np.int64),
-                                      return_inverse=True)
-            charge_text = np.array(["%.17g" % q for q in bits.view(float).tolist()], dtype=object)
+            counts, inverse = np.unique(block.winding, return_inverse=True)
+            charge_text = np.array(["%.17g" % (k / block.periods_per_turn) for k in counts.tolist()], dtype=object)
             prefix = f"{block.template},{_fmt(block.amplitude)},"
             rows = zip(range(len(block.robustness)),
                        np.repeat(center_text, len(block.robustness) // len(centers)).tolist(),

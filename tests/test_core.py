@@ -12,7 +12,6 @@ from defect_robust import (
     PeriodMode,
     builtin_template,
     canonicalize,
-    edge_robustness,
     estimate_charge,
     path_robustness,
     winding,
@@ -96,6 +95,11 @@ class TestWrapping:
         # the interval is half-open: +P/2 maps back to -P/2
         assert wrap_diff(math.pi / 2, NEM) == pytest.approx(-math.pi / 2)
         assert wrap_diff(3.5, POL) == pytest.approx(3.5 - 2 * math.pi)
+
+
+def edge_robustness(ti, tj, mode):
+    """Robustness of the first edge, ti to tj, of the 2-vertex cycle (ti, tj)."""
+    return winding(np.stack([ti, tj]), mode)[3][0]
 
 
 class TestEdgeRobustness:

@@ -240,6 +240,31 @@ class TestRunSweep:
         for t in res.config.templates:
             assert res.agreement(t.name, 0.0) == 1.0
 
+    @pytest.mark.parametrize("cells, dtype", [(126, np.int8), (127, np.int16)])
+    def test_winding_type_holds_half_the_vertex_count(self, cells, dtype):
+        # a 1 x n strip has nv = 2n + 2 vertices: 254 fits int8, 256 needs int16 for +128
+        strip = Template.from_cells(f"strip{cells}", {(a, 0) for a in range(cells)})
+        nv = len(strip.boundary.vertices)
+        assert nv == 2 * cells + 2
+        res = run_sweep(SweepConfig(templates=(strip,), n_centers=5, noise_amplitudes=(0.0, 0.2),
+                                    n_noise_realizations=2, nx=cells + 5, ny=6, oracle_density=3))
+        for amp in (0.0, 0.2):
+            blk = res.block(strip.name, amp)
+            assert blk.winding.dtype == dtype
+            assert np.iinfo(blk.winding.dtype).max >= nv // 2
+        assert res.agreement(strip.name, 0.0) == 1.0
+
+    @pytest.mark.parametrize("mode, charge", [(NEM, HALF), (PeriodMode.POLAR, -1)])
+    def test_builtin_counts_are_one_byte_and_charge_derives_from_them(self, mode, charge):
+        res = run_sweep(SweepConfig(templates=BUILTIN_TEMPLATE_NAMES, n_centers=50, noise_amplitudes=(0.0, 1.0),
+                                    n_noise_realizations=3, mode=mode, charge=charge, oracle_density=3))
+        for blk in res.blocks.values():
+            assert blk.winding.itemsize == 1
+            assert blk.periods_per_turn == mode.periods_per_turn
+            assert blk.charge.dtype == np.float64
+            assert np.array_equal(blk.charge, blk.winding / mode.periods_per_turn)
+            assert res.agreement(blk.template, blk.amplitude) == np.mean(blk.charge == float(charge))
+
     def test_paired_noise_perturbation_bound(self):
         cfg = _small_config()
         res = run_sweep(cfg)
@@ -271,6 +296,11 @@ class TestRunSweep:
     ("noise_amplitudes", (2.0,)),  # at or above P/2 = 1.571, as add_noise rejects it
     ("oracle_density", 1), ("mode", "circular"), ("charge", True),
     ("h", math.inf), ("h", 0.0),
+    # one block per (template name, amplitude value)
+    ("templates", ()), ("noise_amplitudes", ()),
+    ("templates", ("2x2", "2x2")), ("templates", ("single", " SINGLE")), ("templates", (ELL, "cross", ELL)),
+    ("templates", ("cross", Template.from_cells("cross", {(0, 0)}))),  # two cell sets, one name
+    ("noise_amplitudes", (0.0, -0.0)), ("noise_amplitudes", (0.2, 0, 0.2)), ("noise_amplitudes", (0, 0.0)),
 ])
 def test_config_rejects_bad_fields(field, value):
     # built directly, as library callers and the benchmark build it, not through the JSON

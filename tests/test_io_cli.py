@@ -170,19 +170,19 @@ class TestReportFiles:
                     assert agreement == np.mean(charge == float(cfg.charge))
 
     def test_report_bytes_for_hand_built_blocks(self, tmp_path):
-        # -0.0 keeps its own text beside 0.0, and centres shared by no other
-        # block are formatted as they are
+        # counts no sweep of these templates reaches, the type's largest among
+        # them, and centres shared by no other block are formatted as they are
         cfg = SweepConfig(templates=("single", "2x2"), n_centers=4,
                           noise_amplitudes=(0.0, 0.2), n_noise_realizations=2)
         res = run_sweep(cfg)
         blk = res.block("2x2", 0.2)
-        charge = np.resize([-0.0, 0.0, 0.5, -0.0, -1.5, 5e-324], blk.charge.shape)
-        res.blocks[("2x2", 0.2)] = dataclasses.replace(blk, charge=charge, centers=blk.centers + 0.25)
+        winding = np.resize(np.array([-3, -1, 0, 1, 2, 127], dtype=blk.winding.dtype), blk.winding.shape)
+        res.blocks[("2x2", 0.2)] = dataclasses.replace(blk, winding=winding, centers=blk.centers + 0.25)
         rpt = tmp_path / "r.csv"
         write_report(res, rpt)
         assert rpt.read_bytes() == _report_reference(res)
         rows = [r.split(",") for r in rpt.read_text().splitlines() if r.startswith("2x2,0.2")]
-        assert [r[5] for r in rows] == ["-0", "0", "0.5", "-0", "-1.5", "4.9406564584124654e-324", "-0", "0"]
+        assert [r[5] for r in rows] == ["-1.5", "-0.5", "0", "0.5", "1", "63.5", "-1.5", "-0.5"]
 
     def test_rows_sorted(self, tmp_path):
         cfg = SweepConfig(templates=("2x2", "single"), n_centers=10,
@@ -303,7 +303,14 @@ class TestCli:
                             ('{"noise_amplitudes": [0.0, 2.0]}', "'noise_amplitudes'"),  # above P/2
                             ('{"oracle_density": 1}', "'oracle_density'"),
                             ('{"mode": "circular"}', "'mode'"), ('{"charge": true}', "'charge'"),
-                            ('{"charge": "1/0"}', "'charge'")]:
+                            ('{"charge": "1/0"}', "'charge'"),
+                            # one block per (template, amplitude): nothing to rank, or one name sampled twice
+                            ('{"templates": []}', "'templates' = []: must not be empty"),
+                            ('{"noise_amplitudes": []}', "'noise_amplitudes' = []: must not be empty"),
+                            ('{"templates": ["2x2", "2x2"]}', "repeats '2x2'"),
+                            ('{"templates": ["3x3", "cross", "3X3"]}', "repeats '3x3'"),
+                            ('{"noise_amplitudes": [0.1, 0.0, -0.0]}', "repeats -0.0"),
+                            ('{"noise_amplitudes": [0.2, 0.1, 0.2]}', "repeats 0.2")]:
             cfg.write_text(text)
             assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "r.csv"),
                          "--summary", str(tmp_path / "s.txt")]) == 2

@@ -11,9 +11,9 @@ from defect_robust import (
     PeriodMode,
     boundary_of_cells,
     canonicalize,
-    edge_robustness,
     estimate_charge,
     path_robustness,
+    winding,
     wrap_diff,
 )
 
@@ -56,6 +56,11 @@ def test_wrap_diff_is_congruent_to_input(x, y, mode):
     w = wrap_diff(d, mode)
     k = (d - w) / mode.period
     assert abs(k - round(k)) < 1e-9
+
+
+def edge_robustness(ti, tj, mode):
+    """Robustness of the first edge, ti to tj, of the 2-vertex cycle (ti, tj)."""
+    return winding(np.stack([ti, tj]), mode)[3][0]
 
 
 @given(angles, angles, modes)
