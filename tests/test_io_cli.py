@@ -1,10 +1,15 @@
 """ORIFIELD round trips, report/summary files, CLI exit codes."""
 import dataclasses
 import math
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, strategies as st
 
+import defect_robust
 from defect_robust import (
     InvalidAngle,
     OrientationField,
@@ -19,6 +24,7 @@ from defect_robust import (
     write_summary,
 )
 from defect_robust.cli import main
+from defect_robust.fieldio import _fmt, _g17
 
 NEM = PeriodMode.NEMATIC
 
@@ -41,6 +47,30 @@ def field():
     return OrientationField.from_angles(rng.uniform(0, math.pi, (5, 7)), h=0.5, mode=NEM)
 
 
+_POWERS_OF_TEN = [float(f"1e{k}") for k in range(-5, 18)]
+#: Exact ties at the 17th significant digit, (2m+1)/2**s with 18 significant
+#: digits, rounded down (to even) and up.
+_TIES = [4938271560493825 / 2**2, 4938271560493827 / 2**2, 987654312098761 / 2**3, 987654312098763 / 2**3,
+         100001 / 2**18, 100003 / 2**18, 131071 / 2**18, 131073 / 2**18, 131075 / 2**18]
+
+
+@given(st.lists(st.one_of(st.floats(), st.floats(allow_nan=False, allow_infinity=False),
+                          st.floats(min_value=1e-5, max_value=1e17)), min_size=1, max_size=40))
+# each power of ten and its two float neighbours: the kernel's exponent
+# estimate and its correction meet there
+@example([v for p in _POWERS_OF_TEN for v in (np.nextafter(p, 0.0), p, np.nextafter(p, math.inf))])
+@example(_TIES)
+# log10 reads the next power's exponent for the first two; the last, below 1e-4, is in exponent form
+@example([0.099999999999999992, 99.999999999999986, 9.9999999999999995e-05])
+@example([0.0, -0.0, 5e-324, -5e-324, -0.5, -1e300, 1.5])
+@example([math.nan, -math.inf, 0.0])
+def test_g17_is_percent_17g(values):
+    text = _g17(np.array(values))
+    assert text.dtype == np.uint8 and text.shape[0] == len(values)
+    assert [bytes(row[row != 0]).decode() for row in text] == ["%.17g" % v for v in values]
+    assert _fmt(values[0]) == "%.17g" % values[0]
+
+
 class TestFieldFormat:
     def test_round_trip_bit_exact(self, field, tmp_path):
         p = tmp_path / "f.orif"
@@ -55,6 +85,14 @@ class TestFieldFormat:
         write_field(field, p1)
         write_field(read_field(p1), p2)
         assert p1.read_bytes() == p2.read_bytes()
+        # the text is each angle's %.17g, one float at a time; 0 and a
+        # subnormal take the kernel's other path
+        angles = field.angles.copy()
+        angles[0, :2] = (0.0, 5e-324)
+        field = field.with_angles(angles)
+        write_field(field, p1)
+        lines = ["ORIFIELD 1 7 5 0.5 nematic"] + [" ".join("%.17g" % a for a in row) for row in field.angles.tolist()]
+        assert p1.read_text() == "\n".join(lines) + "\n"
 
     def test_header_format(self, field, tmp_path):
         p = tmp_path / "f.orif"
@@ -73,6 +111,14 @@ class TestFieldFormat:
             p.write_text(header + "\n0 0\n0 0\n")
             with pytest.raises(ParseError, match="line 1"):
                 read_field(p)
+
+    def test_size_below_2_names_line_1(self, tmp_path):
+        p = tmp_path / "small.orif"
+        for header in ("ORIFIELD 1 1 0 1.0 nematic", "ORIFIELD 1 0 2 1.0 nematic", "ORIFIELD 1 2 1 1.0 polar"):
+            p.write_text(header + "\n0 0\n0 0\n")
+            with pytest.raises(ParseError, match="line 1: grid size") as info:
+                read_field(p)
+            assert str(info.value).startswith(f"{p}: ")
 
     def test_truncated_row_names_line(self, tmp_path):
         p = tmp_path / "trunc.orif"
@@ -168,6 +214,10 @@ class TestReportFiles:
                     assert np.array_equal(norm, rob / t.resolution)
                     agreement = float(kv[f"{t.name}.amplitude_{i}.charge_agreement"])
                     assert agreement == np.mean(charge == float(cfg.charge))
+                    assert kv[f"{t.name}.amplitude_{i}.robustness_max"] == "%.17g" % blk.robustness.max()
+                assert kv[f"amplitude.{i}"] == "%.17g" % amp
+            for t in cfg.templates:
+                assert kv[f"{t.name}.resolution"] == "%.17g" % t.resolution
 
     def test_report_bytes_for_hand_built_blocks(self, tmp_path):
         # counts no sweep of these templates reaches, the type's largest among
@@ -193,6 +243,24 @@ class TestReportFiles:
         keys = [(r.split(",")[0], float(r.split(",")[1]), int(r.split(",")[2]))
                 for r in rpt.read_text().splitlines()[1:]]
         assert keys == sorted(keys)
+
+
+#: What ``import defect_robust`` loads beyond numpy.  A new entry is start-up
+#: time for every CLI command: add one here only after measuring it.
+_PACKAGE_IMPORTS = {
+    "defect_robust", "defect_robust.core", "defect_robust.errors",
+    "defect_robust.experiments", "defect_robust.fieldio", "defect_robust.synthesis", "defect_robust.templates",
+    "__future__", "copy", "dataclasses", "decimal", "_decimal", "fractions",
+}
+
+
+def test_package_import_loads_only_the_pinned_modules():
+    src = str(Path(defect_robust.__file__).parents[1])
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); import numpy; before = set(sys.modules); "
+            "import defect_robust; print(' '.join(sorted(set(sys.modules) - before)))")
+    loaded = subprocess.run([sys.executable, "-c", code, src], capture_output=True, text=True, check=True).stdout.split()
+    assert "defect_robust.fieldio" in loaded
+    assert set(loaded) <= _PACKAGE_IMPORTS
 
 
 class TestCli:
