@@ -7,7 +7,6 @@ from .core import (
     LatticePath,
     OrientationField,
     PeriodMode,
-    RobustnessReport,
     canonicalize,
     estimate_charge,
     path_robustness,

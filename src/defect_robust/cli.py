@@ -21,7 +21,7 @@ from .experiments import (
     run_sweep,
     theoretical_interval,
 )
-from .fieldio import read_field, write_field, write_report, write_summary
+from .fieldio import read_field, write_field, write_report, write_scan, write_summary
 from .synthesis import DefectSpec, synth_defect_field
 from .templates import builtin_template
 
@@ -125,40 +125,28 @@ def _cmd_charge(args) -> int:
 def _cmd_robustness(args) -> int:
     field = read_field(args.field)
     template = builtin_template(args.template)
-    report = path_robustness(field, template.boundary.translated(args.at))
-    print(f"robustness = {report.path_robustness:.17g}")
-    print(f"min_edge = {report.min_edge[0]} -> {report.min_edge[1]}")
-    print(f"normalized = {report.path_robustness / template.resolution:.17g}")
+    estimate = path_robustness(field, template.boundary.translated(args.at))
+    print(f"robustness = {estimate.path_robustness:.17g}")
+    print(f"min_edge = {estimate.min_edge[0]} -> {estimate.min_edge[1]}")
+    print(f"normalized = {estimate.path_robustness / template.resolution:.17g}")
     return 0
 
 
 def _cmd_scan(args) -> int:
     field = read_field(args.field)
     template = builtin_template(args.template)
-    verts = template.boundary.vertices
-    xs = [v[0] for v in verts]
-    ys = [v[1] for v in verts]
+    xs, ys = zip(*template.boundary.vertices)
     # The first placement: if it leaves the field, every placement does, and the
     # one fit rule raises InvalidPath rather than an empty scan exiting 0.
     template.boundary.translated((-min(xs), -min(ys))).grid_indices(field.nx, field.ny)
-    lines = ["offset_i,offset_j,center_x,center_y,charge,robustness"]
-    for dj in range(-min(ys), field.ny - 1 - max(ys) + 1):
-        for di in range(-min(xs), field.nx - 1 - max(xs) + 1):
-            path = template.boundary.translated((di, dj))
-            estimate = estimate_charge(field, path)
-            if estimate.charge == 0:
-                continue
-            report = path_robustness(field, path)
-            lines.append(
-                f"{di},{dj},{estimate.anchor[0] * field.h:.17g},{estimate.anchor[1] * field.h:.17g},"
-                f"{float(estimate.charge):.17g},{report.path_robustness:.17g}"
-            )
-    text = "\n".join(lines) + "\n"
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    rows = []
+    for dj in range(-min(ys), field.ny - max(ys)):
+        for di in range(-min(xs), field.nx - max(xs)):
+            estimate = estimate_charge(field, template.boundary.translated((di, dj)))
+            if estimate.charge != 0:
+                cx, cy = estimate.anchor
+                rows.append((di, dj, cx * field.h, cy * field.h, float(estimate.charge), estimate.path_robustness))
+    write_scan(rows, args.out)
     return 0
 
 

@@ -14,6 +14,7 @@ the estimate.
 ``winding`` is the one place where the wrapped edge differences are summed
 and quantized and their per-edge robustness computed, for one path or many.
 The path-vertex axis comes first, so a batch of paths is an (nv, ...) array.
+``estimate_charge``, also named ``path_robustness``, is its one-path form.
 """
 from __future__ import annotations
 
@@ -187,32 +188,44 @@ class LatticePath:
         return jj, ii
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ChargeEstimate:
-    """Quantized winding number along a closed path.
+    """Quantized winding number along a closed path, with its robustness.
 
-    ``raw_sum`` = charge * 2*pi + ``residual`` with |residual| below the
-    quantization tolerance.  ``anchor`` is the centroid of the path vertices
-    in grid-index coordinates.
+    ``raw_sum`` = charge * 2*pi + ``residual``, |residual| below the quantization
+    tolerance; ``per_edge`` is each edge's robustness in traversal order, read-only.
+    Read from these: ``path_robustness`` (the minimum of ``per_edge``), ``min_edge``
+    (the endpoints of an edge attaining it) and ``anchor`` (the vertices' centroid
+    in grid-index coordinates).  Estimates compare and hash by value.
     """
 
     charge: Fraction
-    anchor: tuple
     raw_sum: float
     residual: float
-
-
-@dataclass
-class RobustnessReport:
-    """Per-edge robustness values along a closed path, in traversal order.
-
-    ``path_robustness`` is the minimum entry; ``min_edge`` gives the endpoints
-    of an edge attaining it.
-    """
-
     per_edge: np.ndarray
-    path_robustness: float
-    min_edge: tuple
+    path: LatticePath
+
+    def _key(self):
+        return self.charge, self.raw_sum, self.residual, self.path, self.per_edge.tobytes()
+
+    def __eq__(self, other):
+        return isinstance(other, ChargeEstimate) and self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+    @property
+    def anchor(self) -> tuple:
+        ii, jj = zip(*self.path.vertices)
+        return sum(ii) / len(ii), sum(jj) / len(jj)
+
+    @property
+    def path_robustness(self) -> float:
+        return float(self.per_edge.min())
+
+    @property
+    def min_edge(self) -> tuple:
+        return self.path.edge(int(np.argmin(self.per_edge)))
 
 
 def winding(theta, mode: PeriodMode):
@@ -251,30 +264,17 @@ def winding(theta, mode: PeriodMode):
     return raw, k.astype(np.int64), residual, d
 
 
-def _path_angles(field: OrientationField, path: LatticePath) -> np.ndarray:
-    return field.angles[path.grid_indices(field.nx, field.ny)]
-
-
 def estimate_charge(field: OrientationField, path: LatticePath) -> ChargeEstimate:
-    """Quantized topological charge around a closed lattice path.
+    """Quantized topological charge around a closed lattice path, with its robustness.
 
     Counterclockwise traversal around a positive defect yields a positive
     charge.
     """
-    raw, k, residual, _ = winding(_path_angles(field, path), field.mode)
-    ii = [v[0] for v in path.vertices]
-    jj = [v[1] for v in path.vertices]
-    anchor = (sum(ii) / len(ii), sum(jj) / len(jj))
-    return ChargeEstimate(charge=Fraction(int(k), field.mode.periods_per_turn), anchor=anchor,
-                          raw_sum=float(raw), residual=float(residual))
+    raw, k, residual, per_edge = winding(field.angles[path.grid_indices(field.nx, field.ny)], field.mode)
+    per_edge.flags.writeable = False
+    return ChargeEstimate(charge=Fraction(int(k), field.mode.periods_per_turn), raw_sum=float(raw),
+                          residual=float(residual), per_edge=per_edge, path=path)
 
 
-def path_robustness(field: OrientationField, path: LatticePath) -> RobustnessReport:
-    """Per-edge and minimum robustness of the charge estimate along ``path``."""
-    _, _, _, per_edge = winding(_path_angles(field, path), field.mode)
-    k = int(np.argmin(per_edge))
-    return RobustnessReport(
-        per_edge=per_edge,
-        path_robustness=float(per_edge[k]),
-        min_edge=path.edge(k),
-    )
+#: The one estimator under the name of the robustness it reports.
+path_robustness = estimate_charge

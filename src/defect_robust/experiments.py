@@ -225,7 +225,6 @@ class SweepResult:
 @dataclass(frozen=True)
 class RankedEntry:
     template: str
-    resolution: float
     min_normalized: float
 
 
@@ -482,7 +481,7 @@ def normalize_and_rank(result: SweepResult) -> RankReport:
         for template in result.config.templates:
             robustness = result.block(template.name, amplitude).robustness
             # Dividing by a positive constant keeps the order, so this is min(normalized) bit for bit.
-            entries.append(RankedEntry(template=template.name, resolution=template.resolution,
+            entries.append(RankedEntry(template=template.name,
                                        min_normalized=float(np.min(robustness)) / template.resolution))
         entries.sort(key=lambda e: (-e.min_normalized, e.template))
         per_amplitude[float(amplitude)] = entries

@@ -1,4 +1,4 @@
-"""ORIFIELD text format, sweep report CSV, and the key-value summary.
+"""ORIFIELD text format, sweep report CSV, scan CSV, and the key-value summary.
 
 ORIFIELD v1: line 1 is ``ORIFIELD 1 <nx> <ny> <h> <mode>``, followed by ny
 lines of nx space-separated angles in radians (row 0 = lowest y).  Angles
@@ -10,7 +10,8 @@ centre once per noise realization and its winding count takes a handful of
 values, so each centre's text is formatted once per template and each
 distinct count's charge once per block.  ``_CHUNK_ROWS`` rows at a time
 are built as one uint8 matrix, with NUL in the bytes a row's text leaves
-out, and written as one block with the NULs dropped.
+out, and written as one block with the NULs dropped.  The scan CSV has one
+row of ``SCAN_COLUMNS`` per placement with a defect.
 
 Every float these writers put in a file takes its text from ``_g17``, which
 gives each value's ``'%.17g' % v`` text for a whole array at once.  For a
@@ -25,6 +26,8 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
+from contextlib import nullcontext
 
 import numpy as np
 
@@ -39,6 +42,7 @@ REPORT_COLUMNS = (
     "template", "amplitude", "sample_index", "center_x", "center_y",
     "charge", "robustness", "normalized_robustness",
 )
+SCAN_COLUMNS = ("offset_i", "offset_j", "center_x", "center_y", "charge", "robustness")
 #: Report rows built and written at a time.  About 0.6 MB of text on the
 #: builtin templates; of 2**10..2**16 rows, 2**12 wrote the 550k-row report
 #: fastest (larger chunks fall out of the cache, smaller ones pay numpy's
@@ -223,6 +227,15 @@ def write_report(result: SweepResult, path):
                 fh.write(_text(_hcat(len(index), prefix, _g17(index), b",", center_text[index // reps], b",",
                                      charge_text[inverse[rows]], b",", _g17(robustness[rows]), b",",
                                      _g17(normalized[rows]), b"\n")))
+
+
+def write_scan(rows, path=None):
+    """Rows of ``SCAN_COLUMNS`` values as CSV (integer offsets as ``%d``), to stdout if ``path`` is None."""
+    table = np.array(rows, dtype=float).reshape(-1, len(SCAN_COLUMNS))
+    cells = _hcat(table.size, _g17(table), b",")
+    cells[len(SCAN_COLUMNS) - 1::len(SCAN_COLUMNS), -1] = ord("\n")
+    with open(path, "w") if path else nullcontext(sys.stdout) as fh:
+        fh.write(",".join(SCAN_COLUMNS) + "\n" + _text(cells).decode())
 
 
 def write_summary(result: SweepResult, rank: RankReport, path):

@@ -1,9 +1,11 @@
 """Angle arithmetic, path validation, charge quantization, robustness."""
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
+import defect_robust
 from defect_robust import (
     InvalidAngle,
     InvalidPath,
@@ -241,6 +243,35 @@ class TestPathRobustness:
         assert rep.path_robustness == pytest.approx(math.pi / 2)
 
 
+class TestOneEstimate:
+    def test_one_winding_call_gives_charge_and_robustness(self):
+        assert path_robustness is estimate_charge
+        assert "RobustnessReport" not in defect_robust.__all__
+        f = _vortex_field(0.5)
+        est = estimate_charge(f, UNIT_SQUARE)
+        # UNIT_SQUARE's vertices (i, j) index angles[j, i]
+        raw, k, residual, per_edge = winding(f.angles[[3, 3, 4, 4], [3, 4, 4, 3]], NEM)
+        assert est.charge == Fraction(int(k), 2) == Fraction(1, 2)
+        assert (est.raw_sum, est.residual) == (raw, residual)
+        assert np.array_equal(est.per_edge, per_edge) and not est.per_edge.flags.writeable
+        assert est.path_robustness == per_edge.min()
+        assert est.min_edge == UNIT_SQUARE.edge(int(np.argmin(per_edge)))
+        assert est.path is UNIT_SQUARE and est.anchor == (3.5, 3.5)
+
+    def test_estimates_compare_and_hash_by_value(self):
+        f = _vortex_field(0.5)
+        a, b = estimate_charge(f, UNIT_SQUARE), estimate_charge(f, UNIT_SQUARE)
+        assert a.per_edge is not b.per_edge
+        assert a == b and hash(a) == hash(b) and len({a, b}) == 1
+        assert a != estimate_charge(f, UNIT_SQUARE.translated((1, 0)))
+        # one path, one charge, raw sum and residual; the per-edge robustness differs
+        cell = LatticePath(((0, 0), (1, 0), (1, 1), (0, 1)))
+        gentle, steep = (estimate_charge(OrientationField.from_angles([[0.0, s], [s, 2 * s]]), cell)
+                         for s in (0.1, 0.2))
+        assert (gentle.charge, gentle.raw_sum, gentle.residual) == (steep.charge, steep.raw_sum, steep.residual)
+        assert gentle != steep and gentle.path_robustness > steep.path_robustness
+
+
 class TestWinding:
     @pytest.mark.parametrize("mode", [NEM, POL])
     def test_batch_matches_single_path_functions(self, mode):
@@ -256,11 +287,10 @@ class TestWinding:
             angles[jj, ii] = column
             field = OrientationField.from_angles(angles, mode=mode)
             est = estimate_charge(field, path)
-            rep = path_robustness(field, path)
             assert est.charge * mode.periods_per_turn == k[n]
             assert est.raw_sum == raw[n] and est.residual == residual[n]
-            assert np.array_equal(rep.per_edge, per_edge[:, n])
-            assert rep.min_edge == path.edge(int(np.argmin(per_edge[:, n])))
+            assert np.array_equal(est.per_edge, per_edge[:, n])
+            assert est.min_edge == path.edge(int(np.argmin(per_edge[:, n])))
         assert len(set(k.tolist())) > 3
 
     @pytest.mark.parametrize("mode", [NEM, POL])

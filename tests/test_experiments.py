@@ -342,7 +342,7 @@ class TestRanking:
         for e in rank.ranking(0.0):
             blk = res.block(e.template, 0.0)
             assert e.min_normalized == pytest.approx(
-                float(np.min(blk.robustness)) / e.resolution)
+                float(np.min(blk.robustness)) / builtin_template(e.template).resolution)
 
 
 class TestConvergence:

@@ -12,13 +12,17 @@ from hypothesis import example, given, strategies as st
 import defect_robust
 from defect_robust import (
     InvalidAngle,
+    NoiseSpec,
     OrientationField,
     ParseError,
     PeriodMode,
     SweepConfig,
+    add_noise,
+    builtin_template,
     normalize_and_rank,
     read_field,
     run_sweep,
+    winding,
     write_field,
     write_report,
     write_summary,
@@ -39,6 +43,23 @@ def _report_reference(result):
         text += "".join(prefix + "%d,%.17g,%.17g,%.17g,%.17g,%.17g\n" % row
                         for row in zip(*(c.tolist() for c in cols)))
     return text.encode()
+
+
+def _scan_reference(field, template):
+    """The scan CSV from ``winding`` on each placement's directly indexed
+    vertex angles, every placement in row-major order."""
+    xs, ys = zip(*template.boundary.vertices)
+    ii, jj = np.array(xs), np.array(ys)
+    text = "offset_i,offset_j,center_x,center_y,charge,robustness\n"
+    for dj in range(-min(ys), field.ny - max(ys)):
+        for di in range(-min(xs), field.nx - max(xs)):
+            _, k, _, per_edge = winding(field.angles[jj + dj, ii + di], field.mode)
+            if k != 0:
+                cx = sum(i + di for i in xs) / len(xs) * field.h
+                cy = sum(j + dj for j in ys) / len(ys) * field.h
+                text += "%d,%d,%.17g,%.17g,%.17g,%.17g\n" % (
+                    di, dj, cx, cy, int(k) / field.mode.periods_per_turn, per_edge.min())
+    return text
 
 
 @pytest.fixture
@@ -293,6 +314,22 @@ class TestCli:
         di, dj, cx, cy, q, r = rows[0].split(",")
         assert (di, dj) == ("7", "7")
         assert float(q) == 0.5
+
+    @pytest.mark.parametrize("name", ["single", "3x3", "3x3ext"])
+    def test_scan_csv_byte_for_byte(self, name, tmp_path, capsys):
+        # a +1/2 and a -1/2 defect on a 26x22 grid with h = 0.5, under noise
+        y, x = np.mgrid[0:22, 0:26].astype(float)
+        clean = 0.5 * np.arctan2(y - 7.6, x - 6.3) - 0.5 * np.arctan2(y - 13.2, x - 17.4)
+        noisy = add_noise(OrientationField.from_angles(clean, h=0.5), NoiseSpec(0.3, 7))
+        field_path, out = tmp_path / "f.orif", tmp_path / "scan.csv"
+        write_field(noisy, field_path)
+        expected = _scan_reference(noisy, builtin_template(name))
+        charges = {row.split(",")[4] for row in expected.splitlines()[1:]}
+        assert {"0.5", "-0.5"} <= charges
+        assert main(["scan", "--field", str(field_path), "--template", name, "--out", str(out)]) == 0
+        assert out.read_text() == expected
+        assert main(["scan", "--field", str(field_path), "--template", name]) == 0
+        assert capsys.readouterr().out == expected
 
     def test_oracle_subcommand(self, capsys):
         assert main(["oracle", "--template", "2x2", "--charge", "1/2",
