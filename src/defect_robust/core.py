@@ -11,6 +11,10 @@ edges, of the edge's angle difference to the nearest wrap discontinuity
 P/2 + k*P.  It is the largest per-edge orientation change that cannot alter
 the estimate.
 
+``canonicalize`` (into [0, P)) and ``wrap_diff`` (into [-P/2, P/2)) are one
+kernel that stays in its window.  A difference of two canonical angles wraps
+exactly: reversed, it negates, except a tie, which reads -P/2 both ways.
+
 ``winding`` is the one place where the wrapped edge differences are summed
 and quantized and their per-edge robustness computed, for one path or many.
 The path-vertex axis comes first, so a batch of paths is an (nv, ...) array.
@@ -55,11 +59,27 @@ class PeriodMode(Enum):
             raise ValueError(f"unknown period mode {name!r}; expected 'nematic' or 'polar'") from None
 
 
-def _as_finite_array(x, what: str) -> np.ndarray:
+def _fold(x, mode: PeriodMode, low: float):
+    """x - P*floor(x/P - low/P) in [low, low + P): a float for a scalar, else a fresh array."""
     arr = np.asarray(x, dtype=float)
     if not np.all(np.isfinite(arr)):
-        raise InvalidAngle(f"non-finite {what}")
-    return arr
+        raise InvalidAngle("non-finite angle")
+    p = mode.period
+    # A 0-d arr / p is a numpy scalar, which cannot take out=; empty_like keeps it an
+    # array.  Subtracting low / p (0.0 or -0.5) is exact: y, -0.0 kept, or 0.5 + y.
+    out = np.divide(arr, p, out=np.empty_like(arr))
+    np.subtract(out, low / p, out=out)
+    np.floor(out, out=out)
+    np.multiply(p, out, out=out)
+    np.subtract(arr, out, out=out)
+    # Within an ulp of the window's ends the floor can pick the wrong period.  The
+    # folds are exact and rarely needed, so a min and a max decide whether to run them.
+    if out.min(initial=low) < low or out.max(initial=low) >= low + p:
+        np.add(out, p, out=out, where=out < low)
+        np.subtract(out, p, out=out, where=out >= low + p)
+    if np.ndim(x) == 0:
+        return float(out)
+    return out
 
 
 def canonicalize(angle, mode: PeriodMode):
@@ -68,38 +88,16 @@ def canonicalize(angle, mode: PeriodMode):
     Accepts scalars or ndarrays; returns the same kind.  Idempotent, bit-exact
     on inputs already in [0, P).
     """
-    arr = _as_finite_array(angle, "angle")
-    p = mode.period
-    # arr - p*floor(arr/p), pass by pass in one fresh array.  A 0-d arr / p
-    # is a numpy scalar, which cannot take out=; empty_like keeps it an array.
-    out = np.divide(arr, p, out=np.empty_like(arr))
-    np.floor(out, out=out)
-    np.multiply(p, out, out=out)
-    np.subtract(arr, out, out=out)
-    # Tiny negative inputs leave [0, p): arr / p underflows to -0.0, or floor
-    # gives -1 and out rounds to p.  Fold in place; sweeps pass every sample.
-    np.add(out, p, out=out, where=out < 0)
-    np.subtract(out, p, out=out, where=out >= p)
-    if np.ndim(angle) == 0:
-        return float(out)
-    return out
+    return _fold(angle, mode, 0.0)
 
 
 def wrap_diff(delta, mode: PeriodMode):
     """Minimal representative of an angle difference, in [-P/2, P/2).
 
-    Implements delta - P*floor(0.5 + delta/P).  Accepts scalars or ndarrays.
+    Implements delta - P*floor(0.5 + delta/P), exact for |delta| < P.  Accepts
+    scalars or ndarrays.
     """
-    arr = _as_finite_array(delta, "angle difference")
-    p = mode.period
-    out = np.divide(arr, p, out=np.empty_like(arr))  # in place, as in canonicalize
-    np.add(0.5, out, out=out)
-    np.floor(out, out=out)
-    np.multiply(p, out, out=out)
-    np.subtract(arr, out, out=out)
-    if np.ndim(delta) == 0:
-        return float(out)
-    return out
+    return _fold(delta, mode, -mode.period / 2.0)
 
 
 def _check_spacing(h: float) -> float:
@@ -108,13 +106,14 @@ def _check_spacing(h: float) -> float:
     return h
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class OrientationField:
     """Rectangular grid of orientation angles with spacing ``h``.
 
     ``angles`` is stored as a read-only (ny, nx) float array, canonicalized
     into [0, P).  Grid vertex (i, j) sits at physical position (i*h, j*h) and
-    carries angle ``angles[j, i]``.
+    carries angle ``angles[j, i]``.  Fields compare by identity: compare
+    ``angles`` with ``np.array_equal``.
     """
 
     h: float
@@ -181,11 +180,10 @@ class LatticePath:
 
         Raises InvalidPath if a vertex lies outside the grid shrunk by ``margin`` per side.
         """
-        ii = np.array([v[0] for v in self.vertices])
-        jj = np.array([v[1] for v in self.vertices])
-        if ii.min() < margin or jj.min() < margin or ii.max() >= nx - margin or jj.max() >= ny - margin:
+        ii, jj = zip(*self.vertices)
+        if min(ii) < margin or min(jj) < margin or max(ii) >= nx - margin or max(jj) >= ny - margin:
             raise InvalidPath(f"path leaves the field of {nx}x{ny} vertices (margin {margin})")
-        return jj, ii
+        return np.array(jj), np.array(ii)
 
 
 @dataclass(frozen=True, eq=False)

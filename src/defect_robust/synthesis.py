@@ -12,7 +12,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .core import OrientationField, PeriodMode, _check_spacing, canonicalize
+from .core import OrientationField, PeriodMode, _check_spacing
 from .errors import DegenerateCenter
 
 _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
@@ -139,8 +139,7 @@ def synth_defect_field(
     xs = np.arange(nx) * h - cx
     ys = np.arange(ny) * h - cy
     phi = np.arctan2(ys[:, None], xs[None, :])
-    angles = canonicalize(float(spec.charge) * phi + spec.phase, mode)
-    return OrientationField(h=h, mode=mode, angles=angles)
+    return OrientationField(h=h, mode=mode, angles=float(spec.charge) * phi + spec.phase)
 
 
 def noise_offsets(noise: NoiseSpec, flat_indices):
@@ -161,4 +160,4 @@ def add_noise(field: OrientationField, noise: NoiseSpec) -> OrientationField:
     """
     _validate_amplitude(noise.amplitude, field.mode)
     delta = noise_offsets(noise, np.arange(field.ny * field.nx)).reshape(field.ny, field.nx)
-    return field.with_angles(canonicalize(field.angles + delta, field.mode))
+    return field.with_angles(field.angles + delta)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import LatticePath, PeriodMode, wrap_diff
+from .core import LatticePath, PeriodMode, winding
 from .errors import DegenerateCenter, InvalidCellSet, UnknownTemplate
 
 #: Stable CLI-facing identifiers of the figure templates.
@@ -145,9 +145,8 @@ def max_view_angle(template: Template, center) -> float:
     if np.any((cross == 0.0) & (dot <= 0.0)):
         raise DegenerateCenter(f"center {tuple(c)} lies on a path edge")
 
-    phi = np.arctan2(y0, x0)
-    dphi = wrap_diff(np.roll(phi, -1) - phi, PeriodMode.POLAR)
-    winding = float(np.sum(dphi))
-    if abs(winding - 2.0 * math.pi) > 1e-9:
+    # Seen from inside, the boundary winds once; an edge's robustness is pi less its view angle.
+    _, k, _, per_edge = winding(np.arctan2(y0, x0), PeriodMode.POLAR)
+    if k != 1:
         raise DegenerateCenter(f"center {tuple(c)} is not strictly inside the boundary")
-    return float(np.max(np.abs(dphi)))
+    return math.pi - float(per_edge.min())

@@ -69,17 +69,21 @@ class TestWrapping:
             return out
 
         def wrap_ref(a, p):
-            return np.asarray(a - p * np.floor(0.5 + a / p))
+            out = np.asarray(a - p * np.floor(0.5 + a / p))
+            np.add(out, p, out=out, where=out < -p / 2)
+            np.subtract(out, p, out=out, where=out >= p / 2)
+            return out
 
         p = mode.period
         edge = [-5e-324, -122.52211349000194, -0.0, 0.0, 5e-324, -1e-300, p / 2, -p / 2, p, -p, 1e15]
         xs = np.concatenate([edge, np.random.default_rng(0).uniform(-50.0, 50.0, 500)])
         xs.flags.writeable = False  # a write into the caller's array raises
         before = xs.copy()
-        for fn, ref in ((canonicalize, canonical_ref), (wrap_diff, wrap_ref)):
+        for fn, ref, low in ((canonicalize, canonical_ref, 0.0), (wrap_diff, wrap_ref, -p / 2)):
             out = fn(xs, mode)
             assert type(out) is np.ndarray and out.shape == xs.shape
             assert out.tobytes() == ref(xs, p).tobytes()
+            assert np.all((out >= low) & (out < low + p))
             for x in xs.tolist():
                 zero_d = np.array(x)
                 zero_d.flags.writeable = False
@@ -125,7 +129,7 @@ class TestEdgeRobustness:
         for mode in (NEM, POL):
             r = edge_robustness(ti, tj, mode)
             assert np.allclose(r, edge_robustness(tj, ti, mode), atol=1e-12)
-            assert np.all((r >= 0.0) & (r <= mode.period / 2 + 1e-15))
+            assert np.all((r >= 0.0) & (r <= mode.period / 2))
 
     def test_extremes(self):
         # equal angles are maximally robust; a quarter-turn apart is fragile
@@ -140,6 +144,13 @@ class TestOrientationField:
         assert f.angles[1, 1] == pytest.approx(0.0)
         with pytest.raises(ValueError):
             f.angles[0, 0] = 1.0
+
+    def test_compares_and_hashes_by_identity(self):
+        z = np.zeros((2, 2))
+        f, g = OrientationField.from_angles(z), OrientationField.from_angles(z)
+        assert f == f and f != g and hash(f) == hash(f)
+        assert {f: 1, g: 2}[f] == 1
+        assert np.array_equal(f.angles, g.angles)
 
     def test_shape_and_h_validation(self):
         with pytest.raises(ValueError):
@@ -241,6 +252,18 @@ class TestPathRobustness:
         f = OrientationField.from_angles(np.full((5, 5), 0.7), mode=NEM)
         rep = path_robustness(f, UNIT_SQUARE.translated((-2, -2)))
         assert rep.path_robustness == pytest.approx(math.pi / 2)
+
+    @pytest.mark.parametrize("mode", [NEM, POL])
+    def test_cell_one_ulp_below_the_wrap(self, mode):
+        # the true winding is 0 and the weakest edge is one ulp from the wrap
+        angles = np.zeros((2, 2))
+        angles[0, 1] = np.nextafter(mode.period / 2, 0)
+        f = OrientationField.from_angles(angles, mode=mode)
+        cell = LatticePath(((0, 0), (1, 0), (1, 1), (0, 1)))
+        for path in (cell, LatticePath(cell.vertices[::-1])):
+            est = estimate_charge(f, path)
+            assert est.charge == 0
+            assert est.path_robustness == mode.period / 2 - angles[0, 1] > 0.0
 
 
 class TestOneEstimate:

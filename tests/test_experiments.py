@@ -75,6 +75,12 @@ class TestTheoreticalInterval:
             assert 0.0 <= iv.lower <= iv.upper <= math.pi / 2 + 1e-12
             assert iv.n_oracle_samples > 0
 
+    def test_lower_is_zero_where_a_centre_sees_an_edge_at_the_wrap(self):
+        single = builtin_template("single")
+        assert theoretical_interval(single, 1, NEM).lower == 0.0
+        for q in (2, -2):
+            assert theoretical_interval(single, q, PeriodMode.POLAR, oracle_density=301).lower == 0.0
+
     def test_lower_bound_ordering(self):
         # larger templates keep the defect farther from the path
         low = {n: theoretical_interval(builtin_template(n), HALF, oracle_density=120).lower

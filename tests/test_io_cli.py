@@ -341,6 +341,10 @@ class TestCli:
             assert main(["oracle", "--template", "single", "--charge", charge, "--mode", mode]) == 2
             assert f"{mode} charge must be a multiple" in capsys.readouterr().err
 
+    def test_oracle_lower_at_the_wrap_prints_zero(self, capsys):
+        assert main(["oracle", "--template", "single", "--charge", "1"]) == 0
+        assert "lower = 0\n" in capsys.readouterr().out
+
     def test_convergence_subcommand(self, capsys):
         assert main(["convergence", "--charge", "1/2", "--sizes", "1,2,4",
                      "--density", "40"]) == 0
