@@ -51,7 +51,6 @@ from .templates import (
     boundary_of_cells,
     builtin_template,
     center_offset,
-    max_view_angle,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

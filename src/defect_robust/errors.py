@@ -30,7 +30,7 @@ class UnknownTemplate(DefectRobustError):
 
 
 class DegenerateCenter(DefectRobustError):
-    """A defect center coincides with a grid vertex or sits on a path edge."""
+    """A synthesized defect center coincides with a grid vertex."""
 
 
 class SweepFailure(DefectRobustError):

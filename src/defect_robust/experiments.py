@@ -101,7 +101,7 @@ def _distinct(values, key=lambda v: v) -> tuple:
 
 @dataclass(frozen=True)
 class SweepConfig:
-    templates: tuple
+    templates: tuple = BUILTIN_TEMPLATE_NAMES
     n_centers: int = 10_000
     noise_amplitudes: tuple = (0.0, 0.2)
     n_noise_realizations: int = 10
@@ -156,7 +156,7 @@ class SweepConfig:
         grid = _json_object(values.pop("grid", {}), grid_keys, "sweep config 'grid'")
         if base_seed is not None and values.setdefault("base_seed", base_seed) != base_seed:
             raise ValueError(f"sweep config 'base_seed' = {values['base_seed']!r} differs from seed {base_seed}")
-        return cls(**{"templates": BUILTIN_TEMPLATE_NAMES, **values, **grid})
+        return cls(**values, **grid)
 
 
 def _json_object(raw, keys, where: str) -> dict:
@@ -168,7 +168,7 @@ def _json_object(raw, keys, where: str) -> dict:
     return dict(raw)
 
 
-@dataclass
+@dataclass(eq=False)
 class SampleBlock:
     """All samples for one (template, noise amplitude) pair.
 
@@ -176,6 +176,7 @@ class SampleBlock:
     that holds the path's +-nv/2) and ``robustness`` hold one entry per
     (center, realization), center-major; the (n_centers, 2) ``centers`` are
     shared across amplitudes.  ``charge`` is derived, k / ``periods_per_turn``.
+    Blocks compare by identity: compare their arrays with ``np.array_equal``.
     """
 
     template: str

@@ -31,7 +31,7 @@ from contextlib import nullcontext
 
 import numpy as np
 
-from .core import OrientationField, PeriodMode
+from .core import OrientationField, PeriodMode, _check_spacing
 from .errors import InvalidAngle, ParseError
 from .experiments import RankReport, SweepResult
 
@@ -179,7 +179,7 @@ def read_field(path) -> OrientationField:
         raise ParseError(f"{path}: line 1: expected '{_MAGIC} {_VERSION} <nx> <ny> <h> <mode>'")
     try:
         nx, ny = int(header[2]), int(header[3])
-        h = float(header[4])
+        h = _check_spacing(float(header[4]))
         mode = PeriodMode.from_name(header[5])
     except ValueError as exc:
         raise ParseError(f"{path}: line 1: {exc}") from None

@@ -9,23 +9,27 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
-import numpy as np
+from .core import LatticePath
+from .errors import InvalidCellSet, UnknownTemplate
 
-from .core import LatticePath, PeriodMode, winding
-from .errors import DegenerateCenter, InvalidCellSet, UnknownTemplate
 
-#: Stable CLI-facing identifiers of the figure templates.
-BUILTIN_TEMPLATE_NAMES = ("single", "2x2", "cross", "3x3", "3x3ext")
+def _square(n: int) -> set:
+    return {(a, b) for a in range(n) for b in range(n)}
 
+
+# The figure templates, in figure order.
 _CELL_SETS = {
     "single": {(0, 0)},
-    "2x2": {(a, b) for a in range(2) for b in range(2)},
-    "3x3": {(a, b) for a in range(3) for b in range(3)},
+    "2x2": _square(2),
     "cross": {(1, 0), (0, 1), (1, 1), (2, 1), (1, 2)},
-    "3x3ext": {(a, b) for a in range(3) for b in range(3)} | {(1, -1), (1, 3), (-1, 1), (3, 1)},
+    "3x3": _square(3),
+    "3x3ext": _square(3) | {(1, -1), (1, 3), (-1, 1), (3, 1)},
 }
+
+#: Stable CLI-facing identifiers of the figure templates.
+BUILTIN_TEMPLATE_NAMES = tuple(_CELL_SETS)
 
 _SQUARE_RE = re.compile(r"^square\((\d+)\)$")
 
@@ -78,16 +82,16 @@ def boundary_of_cells(cells) -> LatticePath:
 
 @dataclass(frozen=True)
 class Template:
-    """A named cell set with its counterclockwise boundary cycle."""
+    """A named cell set; ``boundary`` is derived, its counterclockwise boundary cycle."""
 
     name: str
     cells: frozenset
-    boundary: LatticePath
+    boundary: LatticePath = field(init=False, compare=False)
 
-    @classmethod
-    def from_cells(cls, name: str, cells) -> "Template":
-        cells = frozenset((int(a), int(b)) for a, b in cells)
-        return cls(name=name, cells=cells, boundary=boundary_of_cells(cells))
+    def __post_init__(self):
+        cells = frozenset((int(a), int(b)) for a, b in self.cells)
+        object.__setattr__(self, "cells", cells)
+        object.__setattr__(self, "boundary", boundary_of_cells(cells))
 
     @property
     def resolution(self) -> float:
@@ -105,18 +109,17 @@ class Template:
 def builtin_template(name: str) -> Template:
     """Look up a canonical template by its stable identifier.
 
-    Accepts the figure names (``single``, ``2x2``, ``cross``, ``3x3``,
-    ``3x3ext``) plus ``square(n)`` for any n >= 1.
+    Accepts ``BUILTIN_TEMPLATE_NAMES`` plus ``square(n)`` for any n >= 1.
     """
     key = name.strip().lower().replace(" ", "")
     if key in _CELL_SETS:
-        return Template.from_cells(key, _CELL_SETS[key])
+        return Template(key, _CELL_SETS[key])
     m = _SQUARE_RE.match(key)
     if m:
         n = int(m.group(1))
         if n < 1:
             raise UnknownTemplate(f"square size must be >= 1, got {n}")
-        return Template.from_cells(key, {(a, b) for a in range(n) for b in range(n)})
+        return Template(key, _square(n))
     raise UnknownTemplate(f"unknown template {name!r}; known: {', '.join(BUILTIN_TEMPLATE_NAMES)}, square(n)")
 
 
@@ -124,29 +127,3 @@ def center_offset(template: Template, nx: int, ny: int) -> tuple:
     """Integer offset that lands the template's centroid nearest the middle of an nx x ny grid."""
     cx, cy = template.centroid
     return (round((nx - 1) / 2 - cx), round((ny - 1) / 2 - cy))
-
-
-def max_view_angle(template: Template, center) -> float:
-    """Largest angle subtended by any boundary edge as seen from ``center``.
-
-    ``center`` must lie strictly inside the boundary and off every edge;
-    angles are wrapped atan2 differences in the polar (2*pi) convention.
-    """
-    verts = np.asarray(template.boundary.vertices, dtype=float)
-    c = np.asarray(center, dtype=float)
-    rel = verts - c
-    if np.any(np.all(rel == 0.0, axis=1)):
-        raise DegenerateCenter(f"center {tuple(c)} coincides with a path vertex")
-
-    x0, y0 = rel[:, 0], rel[:, 1]
-    x1, y1 = np.roll(x0, -1), np.roll(y0, -1)
-    cross = x0 * y1 - y0 * x1
-    dot = x0 * x1 + y0 * y1
-    if np.any((cross == 0.0) & (dot <= 0.0)):
-        raise DegenerateCenter(f"center {tuple(c)} lies on a path edge")
-
-    # Seen from inside, the boundary winds once; an edge's robustness is pi less its view angle.
-    _, k, _, per_edge = winding(np.arctan2(y0, x0), PeriodMode.POLAR)
-    if k != 1:
-        raise DegenerateCenter(f"center {tuple(c)} is not strictly inside the boundary")
-    return math.pi - float(per_edge.min())

@@ -12,6 +12,7 @@ from defect_robust import (
     LatticePath,
     OrientationField,
     PeriodMode,
+    QuantizationFailure,
     builtin_template,
     canonicalize,
     estimate_charge,
@@ -343,3 +344,9 @@ class TestWinding:
             assert np.array_equal(raw, running)
             assert np.allclose(raw, raw_ref, rtol=0.0, atol=1e-12)
             assert np.array_equal(residual, raw - k * mode.period)
+
+    def test_residual_at_tolerance_raises(self):
+        # at 1e12 rad the wrapped differences keep only ~1e-4 rad of precision,
+        # so the sum misses a whole number of periods by about 8.9e-6
+        with pytest.raises(QuantizationFailure, match="residual 8.9"):
+            winding(np.array([0.0, 1e12 + 0.3, 2e12 + 0.1, 0.5]), NEM)

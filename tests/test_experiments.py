@@ -1,7 +1,9 @@
 """Theoretical intervals, Monte Carlo sweeps, ranking, convergence."""
 import dataclasses
+import importlib
 import json
 import math
+import typing
 from fractions import Fraction
 
 import numpy as np
@@ -34,7 +36,7 @@ from defect_robust.experiments import _centers_per_chunk
 NEM = PeriodMode.NEMATIC
 HALF = Fraction(1, 2)
 # Non-convex; its sampling square [0.6, 1.6]^2 holds the reflex vertex (1, 1).
-ELL = Template.from_cells("ell", {(0, 0), (1, 0), (2, 0), (0, 1), (0, 2)})
+ELL = Template("ell", {(0, 0), (1, 0), (2, 0), (0, 1), (0, 2)})
 
 
 def _name(template):
@@ -170,6 +172,14 @@ class TestRunSweep:
             assert np.array_equal(blk.robustness, res2.blocks[(name, amp)].robustness)
             assert np.array_equal(blk.center_x, res2.blocks[(name, amp)].center_x)
 
+    def test_results_and_blocks_compare_by_identity(self):
+        r1 = run_sweep(_small_config(n_centers=5))
+        r2 = run_sweep(_small_config(n_centers=5))
+        assert r1 == r1 and r1 != r2
+        blk = r1.block("2x2", 0.2)
+        assert blk == blk and blk != r2.block("2x2", 0.2)
+        assert {blk: "2x2"}[blk] == "2x2"
+
     def test_seed_changes_samples(self):
         a = run_sweep(_small_config())
         b = run_sweep(_small_config(base_seed=1))
@@ -249,7 +259,7 @@ class TestRunSweep:
     @pytest.mark.parametrize("cells, dtype", [(126, np.int8), (127, np.int16)])
     def test_winding_type_holds_half_the_vertex_count(self, cells, dtype):
         # a 1 x n strip has nv = 2n + 2 vertices: 254 fits int8, 256 needs int16 for +128
-        strip = Template.from_cells(f"strip{cells}", {(a, 0) for a in range(cells)})
+        strip = Template(f"strip{cells}", {(a, 0) for a in range(cells)})
         nv = len(strip.boundary.vertices)
         assert nv == 2 * cells + 2
         res = run_sweep(SweepConfig(templates=(strip,), n_centers=5, noise_amplitudes=(0.0, 0.2),
@@ -290,7 +300,7 @@ class TestRunSweep:
             _small_config(templates=("3x3ext",), nx=6, ny=6)  # no 1-cell margin
         # its boundary spans 8x8, so it fits 11x11 by size, but its centroid lies
         # off the bounding-box centre and the central placement crosses the margin
-        ell = Template.from_cells("ell", {(a, 0) for a in range(8)} | {(0, b) for b in range(1, 8)})
+        ell = Template("ell", {(a, 0) for a in range(8)} | {(0, b) for b in range(1, 8)})
         with pytest.raises(ValueError, match="'ell'"):
             _small_config(templates=(ell,), nx=11, ny=11)
 
@@ -305,7 +315,7 @@ class TestRunSweep:
     # one block per (template name, amplitude value)
     ("templates", ()), ("noise_amplitudes", ()),
     ("templates", ("2x2", "2x2")), ("templates", ("single", " SINGLE")), ("templates", (ELL, "cross", ELL)),
-    ("templates", ("cross", Template.from_cells("cross", {(0, 0)}))),  # two cell sets, one name
+    ("templates", ("cross", Template("cross", {(0, 0)}))),  # two cell sets, one name
     ("noise_amplitudes", (0.0, -0.0)), ("noise_amplitudes", (0.2, 0, 0.2)), ("noise_amplitudes", (0, 0.0)),
 ])
 def test_config_rejects_bad_fields(field, value):
@@ -318,7 +328,8 @@ def test_config_json_round_trip():
     cfg = SweepConfig(templates=("cross", "3x3"), n_centers=7, noise_amplitudes=(0.5, 3.0),
                       n_noise_realizations=4, base_seed=9, nx=20, ny=24, h=0.5, mode=PeriodMode.POLAR,
                       charge=-1, oracle_density=31)
-    default = SweepConfig(templates=BUILTIN_TEMPLATE_NAMES)
+    default = SweepConfig()
+    assert default.templates == tuple(map(builtin_template, BUILTIN_TEMPLATE_NAMES))
     for f in dataclasses.fields(SweepConfig):
         assert getattr(cfg, f.name) != getattr(default, f.name), f.name
     text = json.dumps({"templates": [t.name for t in cfg.templates], "n_centers": cfg.n_centers,
@@ -329,6 +340,18 @@ def test_config_json_round_trip():
     back = SweepConfig.from_mapping(json.loads(text))
     for f in dataclasses.fields(SweepConfig):
         assert getattr(back, f.name) == getattr(cfg, f.name), f.name
+
+
+@pytest.mark.parametrize("module", ["core", "experiments", "synthesis", "templates", "fieldio"])
+def test_dataclasses_holding_arrays_compare_by_identity(module):
+    # numpy's elementwise == makes a generated __eq__ raise on any two
+    # instances, and with it the __eq__ of every dataclass holding one
+    module = importlib.import_module(f"defect_robust.{module}")
+    for cls in vars(module).values():
+        if dataclasses.is_dataclass(cls) and cls.__module__ == module.__name__:
+            hints = typing.get_type_hints(cls)
+            if any(hints[f.name] is np.ndarray for f in dataclasses.fields(cls)):
+                assert not cls.__dataclass_params__.eq, cls.__name__
 
 
 class TestRanking:

@@ -1,6 +1,7 @@
 """ORIFIELD round trips, report/summary files, CLI exit codes."""
 import dataclasses
 import math
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -165,8 +166,24 @@ class TestFieldFormat:
         with pytest.raises(InvalidAngle):
             read_field(p)
         p.write_text("ORIFIELD 1 2 2 inf polar\n0 0\n0 0\n")
-        with pytest.raises(ValueError, match="finite"):
+        with pytest.raises(ParseError, match="line 1: grid spacing h"):
             read_field(p)
+
+    @pytest.mark.parametrize("h", ["nan", "inf", "0", "-1"])
+    def test_bad_spacing_names_line_1(self, h, tmp_path):
+        p = tmp_path / "h.orif"
+        p.write_text(f"ORIFIELD 1 2 2 {h} nematic\n0 0\n0 0\n")
+        with pytest.raises(ParseError, match=f"^{re.escape(str(p))}: line 1: grid spacing h must be positive and finite, got"):
+            read_field(p)
+
+    def test_unparsable_input_names_its_line(self, tmp_path):
+        p = tmp_path / "bad.orif"
+        for text, message in (("", "line 1: empty file"),
+                              ("ORIFIELD 1 a 2 1 nematic\n0 0\n0 0\n", "line 1: "),
+                              ("ORIFIELD 1 2 2 1 nematic\n0 x\n0 0\n", "line 2: row 0 contains a non-numeric value")):
+            p.write_text(text)
+            with pytest.raises(ParseError, match=f"^{re.escape(str(p))}: {message}"):
+                read_field(p)
 
     def test_angles_canonicalized_on_read(self, tmp_path):
         p = tmp_path / "wide.orif"
@@ -381,6 +398,9 @@ class TestCli:
         assert main(["generate", "--charge", "1/2", "--center", "nope",
                      "--size", "8,8", "--out", "f"]) == 1
         assert main(["oracle", "--template", "single", "--charge", "1/2", "--mode", "circular"]) == 1
+        for charge in ("abc", "1/0"):
+            assert main(["oracle", "--template", "single", "--charge", charge]) == 1
+            assert f"invalid charge '{charge}'" in capsys.readouterr().err
 
     def test_data_errors_exit_2(self, tmp_path, capsys):
         assert main(["charge", "--field", str(tmp_path / "missing.orif"),

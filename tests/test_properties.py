@@ -1,5 +1,6 @@
 """Property-based invariants for wrapping, winding, and robustness."""
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from defect_robust import (
     OrientationField,
     PeriodMode,
     boundary_of_cells,
+    builtin_template,
     canonicalize,
     estimate_charge,
     path_robustness,
@@ -157,37 +159,57 @@ def test_laws_at_ties_and_one_ulp_from_them(seed, mode):
             assert sum(estimate_charge(f, c).charge for c in CELL_PATHS) == estimate_charge(f, BLOCK).charge
 
 
+#: Paths on a 6x6 field of angles k*P/4, where every edge's robustness is 0,
+#: P/4 or P/2, so many edges tie for the weakest.
+QUARTER_PATHS = tuple(builtin_template(n).boundary.translated((1, 1)) for n in ("single", "2x2", "cross", "3x3"))
+#: None for a uniform random field around SQUARE, else an index into QUARTER_PATHS.
+families = st.one_of(st.none(), st.integers(min_value=0, max_value=len(QUARTER_PATHS) - 1))
+
+
+def _field_and_path(seed, mode, quarter):
+    """A field and a path; a quarter field is redrawn (up to 100 times) until its robustness is positive."""
+    if quarter is None:
+        return _random_field(seed, mode=mode), SQUARE
+    rng = np.random.default_rng(seed)
+    path = QUARTER_PATHS[quarter]
+    for _ in range(100):
+        f = OrientationField.from_angles(rng.integers(0, 4, (6, 6)) * (mode.period / 4), mode=mode)
+        if path_robustness(f, path).path_robustness > 0.0:
+            break
+    return f, path
+
+
 @settings(max_examples=40, deadline=None)
-@given(st.integers(min_value=0, max_value=10_000), st.integers(min_value=0, max_value=10_000))
-def test_small_perturbations_cannot_change_charge(seed, pseed):
+@given(st.integers(min_value=0, max_value=10_000), st.integers(min_value=0, max_value=10_000), modes, families)
+def test_small_perturbations_cannot_change_charge(seed, pseed, mode, quarter):
     # stability: any per-vertex perturbation strictly below half the
     # robustness leaves the estimate unchanged
-    f = _random_field(seed)
-    rep = path_robustness(f, SQUARE)
+    f, path = _field_and_path(seed, mode, quarter)
+    rep = path_robustness(f, path)
     if rep.path_robustness <= 1e-6:
         return
     eps = 0.49 * rep.path_robustness
     rng = np.random.default_rng(pseed)
     g = f.with_angles(f.angles + rng.uniform(-eps, eps, f.angles.shape))
-    assert estimate_charge(g, SQUARE).charge == estimate_charge(f, SQUARE).charge
+    assert estimate_charge(g, path).charge == estimate_charge(f, path).charge
 
 
 @settings(max_examples=40, deadline=None)
-@given(st.integers(min_value=0, max_value=10_000))
-def test_crossing_perturbation_flips_charge(seed):
+@given(st.integers(min_value=0, max_value=10_000), modes, families)
+def test_crossing_perturbation_flips_charge(seed, mode, quarter):
     # sharpness: pushing the weakest edge just past its nearest wrap
-    # discontinuity changes the estimate by exactly half a turn
-    f = _random_field(seed)
-    rep = path_robustness(f, SQUARE)
+    # discontinuity changes the estimate by exactly one period P
+    f, path = _field_and_path(seed, mode, quarter)
+    rep = path_robustness(f, path)
     if rep.path_robustness <= 1e-6:
         return
     (i0, j0), (i1, j1) = rep.min_edge
-    d = wrap_diff(f.angles[j1, i1] - f.angles[j0, i0], NEM)
+    d = wrap_diff(f.angles[j1, i1] - f.angles[j0, i0], mode)
     sign = 1.0 if d >= 0 else -1.0
     bump = sign * (rep.path_robustness + 1e-9)
     angles = np.array(f.angles)
     angles[j1, i1] += bump / 2
     angles[j0, i0] -= bump / 2
     g = f.with_angles(angles)
-    dq = estimate_charge(g, SQUARE).charge - estimate_charge(f, SQUARE).charge
-    assert abs(dq) == pytest.approx(0.5)
+    dq = estimate_charge(g, path).charge - estimate_charge(f, path).charge
+    assert abs(dq) == Fraction(1, mode.periods_per_turn)

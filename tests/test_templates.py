@@ -6,14 +6,15 @@ import pytest
 
 from defect_robust import (
     BUILTIN_TEMPLATE_NAMES,
-    DegenerateCenter,
     InvalidCellSet,
     InvalidPath,
+    PeriodMode,
+    Template,
     UnknownTemplate,
+    analytic_path_robustness,
     boundary_of_cells,
     builtin_template,
     center_offset,
-    max_view_angle,
 )
 
 
@@ -57,6 +58,27 @@ class TestBoundaryTracing:
     def test_empty_rejected(self):
         with pytest.raises(InvalidCellSet):
             boundary_of_cells(set())
+
+
+class TestTemplate:
+    def test_boundary_derives_from_cells(self):
+        cells = [(0, 0), (1, 0), (2.0, 0), (0, 1)]
+        t = Template("ell", cells)
+        assert t.cells == frozenset({(0, 0), (1, 0), (2, 0), (0, 1)})
+        assert all(type(a) is int for cell in t.cells for a in cell)
+        assert t.boundary == boundary_of_cells(cells)
+        assert t == Template("ell", reversed(cells)) and hash(t) == hash(Template("ell", set(cells)))
+        with pytest.raises(TypeError):
+            Template("tiny", {(0, 0)}, boundary=builtin_template("3x3").boundary)
+        with pytest.raises(InvalidCellSet):
+            Template("gap", {(0, 0), (2, 0)})
+
+    def test_builtin_names_are_the_figure_order(self):
+        assert BUILTIN_TEMPLATE_NAMES == ("single", "2x2", "cross", "3x3", "3x3ext")
+        for name in BUILTIN_TEMPLATE_NAMES:
+            assert builtin_template(name).name == name
+        assert builtin_template("3x3").cells == builtin_template("square(3)").cells
+        assert builtin_template("3x3").cells < builtin_template("3x3ext").cells
 
 
 class TestBuiltins:
@@ -112,6 +134,13 @@ class TestPlacement:
             path.grid_indices(17, 16, margin=1)
 
 
+def max_view_angle(template, center):
+    """Largest angle a boundary edge subtends from ``center``: pi less the
+    robustness of the unit polar winding field, whose edges each turn by their
+    view angle."""
+    return math.pi - float(analytic_path_robustness(template, [center], 1, PeriodMode.POLAR)[0])
+
+
 class TestMaxViewAngle:
     def test_single_centroid_is_quarter_turn(self):
         t = builtin_template("single")
@@ -129,12 +158,3 @@ class TestMaxViewAngle:
         t = builtin_template("3x3")
         a = max_view_angle(t, (1.5, 1.5))
         assert a <= math.asin(1.0 / 1.5) + 1e-12
-
-    def test_degenerate_positions(self):
-        t = builtin_template("single")
-        with pytest.raises(DegenerateCenter):
-            max_view_angle(t, (0.0, 0.0))  # vertex
-        with pytest.raises(DegenerateCenter):
-            max_view_angle(t, (0.5, 0.0))  # on an edge
-        with pytest.raises(DegenerateCenter):
-            max_view_angle(t, (2.5, 2.5))  # outside
