@@ -77,6 +77,11 @@ def _fold(x, mode: PeriodMode, low: float):
     if out.min(initial=low) < low or out.max(initial=low) >= low + p:
         np.add(out, p, out=out, where=out < low)
         np.subtract(out, p, out=out, where=out >= low + p)
+        # From about 2**53 * P on, the rounding of P*floor(x/P) spans many periods.
+        # There the exact remainder fmod(x, P), in (-P, P), is folded instead.
+        far = (out < low) | (out >= low + p)
+        if far.any():
+            out[far] = _fold(np.fmod(arr[far], p), mode, low)
     if np.ndim(x) == 0:
         return float(out)
     return out

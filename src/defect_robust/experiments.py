@@ -128,8 +128,7 @@ class SweepConfig:
         check("oracle_density", lambda v: _check_oracle_density(_typed(v, int, "an integer")))
         check("h", lambda v: _check_spacing(float(_typed(v, (int, float), "a number"))))
         check("mode", lambda v: v if isinstance(v, PeriodMode) else PeriodMode.from_name(_typed(v, str, "a mode name")))
-        check("charge", lambda v: _validate_charge(Fraction(_typed(v, (int, float, str, Fraction), "a charge")),
-                                                   self.mode))
+        check("charge", lambda v: _validate_charge(_typed(v, (int, float, str, Fraction), "a charge"), self.mode))
         # Blocks are keyed by template name and amplitude value, so each must be
         # unique; 0.0 and -0.0 are one amplitude.
         check("noise_amplitudes", lambda v: _distinct(_validate_amplitude(float(a), self.mode)
@@ -279,7 +278,7 @@ def analytic_path_robustness(template: Template, centers, q, mode: PeriodMode = 
     """
     verts = np.asarray(template.boundary.vertices, dtype=float)
     centers = np.asarray(centers, dtype=float)
-    theta = _clean_vertex_angles(verts, centers, float(Fraction(q)), mode)
+    theta = _clean_vertex_angles(verts, centers, float(_validate_charge(q, mode)), mode)
     return np.min(winding(theta, mode)[3], axis=0)
 
 
@@ -328,7 +327,7 @@ def theoretical_interval(
     on the square's boundary reach 0.78540) or rise above ``upper``.
     """
     _check_oracle_density(oracle_density)
-    q = float(_validate_charge(Fraction(q), mode))
+    q = float(_validate_charge(q, mode))
     cx, cy = template.centroid
     xs = _oracle_axis(cx, oracle_density)
     ys = _oracle_axis(cy, oracle_density)
@@ -511,7 +510,7 @@ def convergence_study(
 
     The rows are reported as-is and any assertions are left to callers.
     """
-    q = _validate_charge(Fraction(q), mode)
+    q = _validate_charge(q, mode)
     p = mode.period
     rows = []
     for n in sizes:

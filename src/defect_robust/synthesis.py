@@ -7,6 +7,7 @@ order and parallelism, and individual vertices can be evaluated in isolation.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -94,9 +95,20 @@ class NoiseSpec:
             raise ValueError("noise amplitude must be >= 0")
 
 
-def _validate_charge(q: Fraction, mode: PeriodMode) -> Fraction:
+def _validate_charge(q, mode: PeriodMode) -> Fraction:
+    """The charge ``q`` as a Fraction: a multiple of 1/periods_per_turn that converts to a
+    finite float.  Any other charge raises ValueError naming it."""
+    try:
+        q = Fraction(q)
+    except (ValueError, OverflowError) as exc:
+        raise ValueError(f"invalid charge {q!r}: {exc}") from None
     if (q * mode.periods_per_turn).denominator != 1:
         raise ValueError(f"{mode.value} charge must be a multiple of {Fraction(1, mode.periods_per_turn)}, got {q}")
+    try:
+        float(q)
+    except OverflowError:
+        magnitude = math.log10(abs(q.numerator)) - math.log10(q.denominator)
+        raise ValueError(f"charge of about 1e{magnitude:.0f} is too large for a float") from None
     return q
 
 
@@ -129,7 +141,7 @@ def synth_defect_field(
     undefined at the vertex itself).
     """
     _check_spacing(h)
-    _validate_charge(Fraction(spec.charge), mode)
+    q = float(_validate_charge(spec.charge, mode))
     cx, cy = spec.center
     if not (0.0 <= cx <= (nx - 1) * h and 0.0 <= cy <= (ny - 1) * h):
         raise ValueError(f"center {spec.center} outside grid extent")
@@ -139,7 +151,7 @@ def synth_defect_field(
     xs = np.arange(nx) * h - cx
     ys = np.arange(ny) * h - cy
     phi = np.arctan2(ys[:, None], xs[None, :])
-    return OrientationField(h=h, mode=mode, angles=float(spec.charge) * phi + spec.phase)
+    return OrientationField(h=h, mode=mode, angles=q * phi + spec.phase)
 
 
 def noise_offsets(noise: NoiseSpec, flat_indices):

@@ -94,6 +94,18 @@ class TestWrapping:
                     assert np.float64(y).tobytes() == ref(np.float64(x), p).tobytes()
         assert xs.tobytes() == before.tobytes()
 
+    @pytest.mark.parametrize("mode", [NEM, POL])
+    def test_huge_inputs_land_in_the_window(self, mode):
+        # From about 2**53 * P on, P*floor(x/P) is rounded by thousands of periods
+        huge = [1e20, -1e20, 1e300, -1e300, 1.7e308, -1.7e308]
+        xs = np.concatenate([huge, np.random.default_rng(0).uniform(-1.0, 1.0, 100_000) * 1e20])
+        p = mode.period
+        for fn, low in ((canonicalize, 0.0), (wrap_diff, -p / 2)):
+            out = fn(xs, mode)
+            assert np.all((out >= low) & (out < low + p))
+            for x in huge:
+                assert low <= fn(x, mode) < low + p
+
     def test_wrap_diff_values(self):
         # frozen spot checks of delta - P*floor(0.5 + delta/P)
         assert wrap_diff(0.4, NEM) == pytest.approx(0.4)

@@ -70,6 +70,24 @@ class TestAnalyticRobustness:
         assert r[0] == pytest.approx(math.pi / 4)
 
 
+@pytest.mark.parametrize("charge, mode, message", [
+    (Fraction(1, 3), NEM, "nematic charge must be a multiple of 1/2, got 1/3"),
+    (Fraction(1, 2), PeriodMode.POLAR, "polar charge must be a multiple of 1, got 1/2"),
+    ("1e400", NEM, "charge of about 1e400 is too large for a float"),
+], ids=["nematic-1/3", "polar-1/2", "1e400"])
+def test_every_charge_entry_point_applies_one_rule(charge, mode, message):
+    # analytic_path_robustness read a nematic 1/3 as 1/2 and returned [0.]; 1e400
+    # raised OverflowError from float(Fraction) in every other entry point
+    single = builtin_template("single")
+    for call in (lambda: analytic_path_robustness(single, [(0.5, 0.5)], charge, mode),
+                 lambda: theoretical_interval(single, charge, mode, oracle_density=3),
+                 lambda: convergence_study(charge, [1], mode, oracle_density=3),
+                 lambda: synth_defect_field(DefectSpec(charge=charge, center=(3.3, 3.4)), 8, 8, mode=mode),
+                 lambda: SweepConfig(templates=("single",), charge=charge, mode=mode)):
+        with pytest.raises(ValueError, match=message):
+            call()
+
+
 class TestTheoreticalInterval:
     def test_bounds_are_ordered_and_in_range(self):
         for name in BUILTIN_TEMPLATE_NAMES:

@@ -358,6 +358,25 @@ class TestCli:
             assert main(["oracle", "--template", "single", "--charge", charge, "--mode", mode]) == 2
             assert f"{mode} charge must be a multiple" in capsys.readouterr().err
 
+    def test_charge_too_large_for_a_float_is_a_data_error(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"charge": "1e400", "templates": ["single"], "n_centers": 2, "noise_amplitudes": [0.0]}')
+        for argv in (["oracle", "--template", "single", "--charge", "1e400"],
+                     ["convergence", "--charge", "1e400", "--sizes", "1"],
+                     ["generate", "--charge", "1e400", "--center", "3.3,3.4", "--size", "8,8",
+                      "--out", str(tmp_path / "f.orif")],
+                     ["sweep", "--config", str(cfg), "--out", str(tmp_path / "r.csv"),
+                      "--summary", str(tmp_path / "s.txt")]):
+            assert main(argv) == 2
+            assert "charge of about 1e400 is too large for a float" in capsys.readouterr().err
+
+    def test_generate_huge_charge_writes_angles_in_the_window(self, tmp_path):
+        out = tmp_path / "f.orif"
+        assert main(["generate", "--charge", "1e20", "--center", "3.3,3.4", "--size", "8,8", "--out", str(out)]) == 0
+        angles = [float(v) for line in out.read_text().splitlines()[1:] for v in line.split()]
+        assert len(angles) == 64
+        assert all(0.0 <= a < math.pi for a in angles)
+
     def test_oracle_lower_at_the_wrap_prints_zero(self, capsys):
         assert main(["oracle", "--template", "single", "--charge", "1"]) == 0
         assert "lower = 0\n" in capsys.readouterr().out

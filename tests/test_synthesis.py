@@ -82,6 +82,8 @@ class TestSynthField:
                                mode=POL)
         with pytest.raises(ValueError):
             synth_defect_field(DefectSpec(charge=Fraction(1, 3), center=(3.3, 3.3)), 8, 8)
+        with pytest.raises(ValueError, match="charge of about 1e400 is too large for a float"):
+            synth_defect_field(DefectSpec(charge=Fraction("1e400"), center=(3.3, 3.3)), 8, 8)
 
     def test_center_must_be_inside_and_off_grid(self):
         with pytest.raises(ValueError):
