@@ -96,8 +96,9 @@ class NoiseSpec:
 
 
 def _validate_charge(q, mode: PeriodMode) -> Fraction:
-    """The charge ``q`` as a Fraction: a multiple of 1/periods_per_turn that converts to a
-    finite float.  Any other charge raises ValueError naming it."""
+    """The charge ``q`` as a Fraction: a multiple of 1/periods_per_turn whose
+    |q|*pi is a finite float, so that ``q * atan2`` is finite everywhere.  Any
+    other charge raises ValueError naming it."""
     try:
         q = Fraction(q)
     except (ValueError, OverflowError) as exc:
@@ -105,10 +106,12 @@ def _validate_charge(q, mode: PeriodMode) -> Fraction:
     if (q * mode.periods_per_turn).denominator != 1:
         raise ValueError(f"{mode.value} charge must be a multiple of {Fraction(1, mode.periods_per_turn)}, got {q}")
     try:
-        float(q)
+        value = float(q)
     except OverflowError:
         magnitude = math.log10(abs(q.numerator)) - math.log10(q.denominator)
         raise ValueError(f"charge of about 1e{magnitude:.0f} is too large for a float") from None
+    if not math.isfinite(value * math.pi):
+        raise ValueError(f"charge {value:g} is too large: |q|*pi is not a finite float")
     return q
 
 

@@ -74,7 +74,8 @@ class TestAnalyticRobustness:
     (Fraction(1, 3), NEM, "nematic charge must be a multiple of 1/2, got 1/3"),
     (Fraction(1, 2), PeriodMode.POLAR, "polar charge must be a multiple of 1, got 1/2"),
     ("1e400", NEM, "charge of about 1e400 is too large for a float"),
-], ids=["nematic-1/3", "polar-1/2", "1e400"])
+    ("1.7e308", NEM, r"charge 1.7e\+308 is too large: \|q\|\*pi is not a finite float"),
+], ids=["nematic-1/3", "polar-1/2", "1e400", "1.7e308"])
 def test_every_charge_entry_point_applies_one_rule(charge, mode, message):
     # analytic_path_robustness read a nematic 1/3 as 1/2 and returned [0.]; 1e400
     # raised OverflowError from float(Fraction) in every other entry point
@@ -144,6 +145,17 @@ class TestTheoreticalInterval:
             iv = theoretical_interval(template, q, mode, oracle_density=density)
             assert (iv.lower, iv.upper, iv.n_oracle_samples) == (r.min(), r.max(), len(r))
 
+    @pytest.mark.parametrize("name", ["single", "cross"])
+    @pytest.mark.parametrize("q", [1e305, 5e307], ids=str)
+    def test_huge_charges_evaluate_every_unbounded_tile(self, name, q):
+        # |q| times the view-angle gradient overflows: the slack is inf, or nan on
+        # a one-point tile, and such a tile was never evaluated (single at 5e307
+        # read 0.0899 against the grid's 0.000216)
+        t = builtin_template(name)
+        r = analytic_path_robustness(t, _oracle_grid(t, 21), q)
+        iv = theoretical_interval(t, q, oracle_density=21)
+        assert (iv.lower, iv.upper, iv.n_oracle_samples) == (r.min(), r.max(), len(r))
+
     @pytest.mark.parametrize("template", [builtin_template("single"), builtin_template("cross"), ELL], ids=_name)
     @pytest.mark.parametrize("mode, q", [(NEM, HALF), (NEM, Fraction(5, 2)), (PeriodMode.POLAR, Fraction(-2))], ids=str)
     def test_tile_slack_bounds_every_point_of_the_tile(self, template, mode, q):
@@ -156,10 +168,10 @@ class TestTheoreticalInterval:
             i1, j1 = min(i0 + side, len(xs)) - 1, min(j0 + side, len(ys)) - 1
             im, jm = rng.integers(i0, i1 + 1), rng.integers(j0, j1 + 1)
             tile = [np.array([v]) for v in (xs[i0], xs[i1], ys[j0], ys[j1], xs[im], ys[jm])]
-            slack = experiments._tile_slack(verts, float(q), *tile)[0]
+            (slack,), (holds_vertex,) = experiments._tile_slack(verts, float(q), *tile)
             holds = np.any((xs[i0] <= verts[:, 0]) & (verts[:, 0] <= xs[i1])
                            & (ys[j0] <= verts[:, 1]) & (verts[:, 1] <= ys[j1]))
-            assert holds == (slack == math.inf)
+            assert holds == holds_vertex == (slack == math.inf)
             if holds:
                 continue
             gx, gy = np.meshgrid(xs[i0:i1 + 1], ys[j0:j1 + 1])

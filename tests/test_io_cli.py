@@ -28,6 +28,7 @@ from defect_robust import (
     write_report,
     write_summary,
 )
+from defect_robust import fieldio
 from defect_robust.cli import main
 from defect_robust.fieldio import _fmt, _g17
 
@@ -91,6 +92,20 @@ def test_g17_is_percent_17g(values):
     assert text.dtype == np.uint8 and text.shape[0] == len(values)
     assert [bytes(row[row != 0]).decode() for row in text] == ["%.17g" % v for v in values]
     assert _fmt(values[0]) == "%.17g" % values[0]
+
+
+def test_g17_is_percent_17g_at_scale():
+    # 9,000 doubles in each decade of [1e-5, 1e17] (a third of them rounded to
+    # 1-5 significant digits, so that their fractions end in zeros) and 20,000
+    # robustness values in [0, pi/2]: 218,000 values in all
+    rng = np.random.default_rng(2024)
+    decades = [10.0 ** k * rng.uniform(1.0, 10.0, 9000) for k in range(-5, 17)]
+    for d in decades:
+        d[::3] = [float("%.*g" % (digits, v)) for digits, v in zip(rng.integers(1, 6, len(d[::3])).tolist(), d[::3])]
+    values = np.concatenate(decades + [rng.uniform(0.0, math.pi / 2, 20_000)])
+    assert len(values) >= 200_000
+    text = fieldio._text(fieldio._hcat(len(values), *fieldio._g17_parts(values), b"\n")).decode()
+    assert text == "".join("%.17g\n" % v for v in values.tolist())
 
 
 class TestFieldFormat:
@@ -272,6 +287,41 @@ class TestReportFiles:
         rows = [r.split(",") for r in rpt.read_text().splitlines() if r.startswith("2x2,0.2")]
         assert [r[5] for r in rows] == ["-1.5", "-0.5", "0", "0.5", "1", "63.5", "-1.5", "-0.5"]
 
+    def test_report_bytes_for_edge_blocks(self, tmp_path):
+        # robustness 0, subnormal, below 1e-4, negative, non-finite and at least
+        # 1e16 is written by Python beside the numpy kernel's text in one call
+        # for both float columns (up to 24 bytes a value); a block longer than
+        # every other, over several chunks, needs the whole cached index column
+        cfg = SweepConfig(templates=("single", "2x2"), n_centers=3,
+                          noise_amplitudes=(0.0, 0.2), n_noise_realizations=2)
+        res = run_sweep(cfg)
+        edge = [0.0, 5e-324, 2.2250738585072014e-308, -2.2250738585072014e-308, 9.9999999999999995e-05,
+                1e-5, 1e-4, 0.5, math.pi / 2, 1e16, 1.5e300, math.inf, math.nan]
+        blk = res.block("2x2", 0.2)
+        res.blocks[("2x2", 0.2)] = dataclasses.replace(blk, robustness=np.resize(edge, len(blk.robustness)))
+        blk = res.block("single", 0.2)
+        rows = 3 * 4000
+        assert rows > 2 * fieldio._CHUNK_ROWS
+        robustness = np.random.default_rng(5).uniform(0.0, 1.6, rows)
+        robustness[::1000] = 0.0
+        res.blocks[("single", 0.2)] = dataclasses.replace(blk, robustness=robustness,
+                                                          winding=np.resize(blk.winding, rows))
+        rpt = tmp_path / "r.csv"
+        write_report(res, rpt)
+        assert rpt.read_bytes() == _report_reference(res)
+        last = rpt.read_text().splitlines()[-1]
+        assert last.split(",")[:3] == ["single", "0.20000000000000001", str(rows - 1)]
+        assert len([r for r in rpt.read_text().splitlines() if r.startswith("single,0.2")]) == rows
+
+    def test_report_bytes_for_a_polar_sweep(self, tmp_path):
+        cfg = SweepConfig(templates=("single", "3x3"), n_centers=40, noise_amplitudes=(0.0, 0.5),
+                          n_noise_realizations=3, mode=PeriodMode.POLAR, charge=-1)
+        res = run_sweep(cfg)
+        rpt = tmp_path / "r.csv"
+        write_report(res, rpt)
+        assert rpt.read_bytes() == _report_reference(res)
+        assert {r.split(",")[5] for r in rpt.read_text().splitlines()[1:]} >= {"-1"}
+
     def test_rows_sorted(self, tmp_path):
         cfg = SweepConfig(templates=("2x2", "single"), n_centers=10,
                           noise_amplitudes=(0.2, 0.0), n_noise_realizations=2)
@@ -299,6 +349,22 @@ def test_package_import_loads_only_the_pinned_modules():
     loaded = subprocess.run([sys.executable, "-c", code, src], capture_output=True, text=True, check=True).stdout.split()
     assert "defect_robust.fieldio" in loaded
     assert set(loaded) <= _PACKAGE_IMPORTS
+
+
+def test_sweep_and_oracle_load_no_numpy_module_after_the_import(tmp_path):
+    # numpy 2 imports numpy.ma on the first np.unique, which np.isin calls: about
+    # 10 ms of every sweep and oracle process, for arrays of a handful of values
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text('{"templates": ["single", "2x2"], "n_centers": 20, "noise_amplitudes": [0.0, 0.2]}')
+    src = str(Path(defect_robust.__file__).parents[1])
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); import numpy; from defect_robust.cli import main; "
+            "before = set(sys.modules); main(sys.argv[2:]); "
+            "main(['oracle', '--template', 'cross', '--charge', '1/2']); "
+            "print(' '.join(sorted(m for m in set(sys.modules) - before if m.startswith('numpy'))))")
+    done = subprocess.run([sys.executable, "-c", code, src, "sweep", "--config", str(cfg), "--out",
+                           str(tmp_path / "r.csv"), "--summary", str(tmp_path / "s.txt")],
+                          capture_output=True, text=True, check=True)
+    assert done.stdout.splitlines()[-1] == ""
 
 
 class TestCli:
@@ -369,6 +435,26 @@ class TestCli:
                       "--summary", str(tmp_path / "s.txt")]):
             assert main(argv) == 2
             assert "charge of about 1e400 is too large for a float" in capsys.readouterr().err
+
+    def test_charge_whose_q_pi_overflows_is_a_data_error(self, tmp_path):
+        # 1.7e308 converts to a float, but q*atan2 overflows: oracle printed
+        # lower = inf and upper = -inf, and generate printed numpy's warning
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"charge": "1.7e308", "templates": ["single"], "n_centers": 2, "noise_amplitudes": [0.0]}')
+        src = str(Path(defect_robust.__file__).parents[1])
+        code = ("import sys; sys.path.insert(0, sys.argv[1]); from defect_robust.cli import main; "
+                "sys.exit(main(sys.argv[2:]))")
+        for argv in (["oracle", "--template", "single", "--charge", "1.7e308", "--density", "20"],
+                     ["convergence", "--charge", "1.7e308", "--sizes", "1"],
+                     ["generate", "--charge", "1.7e308", "--center", "3.3,3.4", "--size", "8,8",
+                      "--out", str(tmp_path / "f.orif")],
+                     ["sweep", "--config", str(cfg), "--out", str(tmp_path / "r.csv"),
+                      "--summary", str(tmp_path / "s.txt")]):
+            done = subprocess.run([sys.executable, "-c", code, src, *argv], capture_output=True, text=True)
+            assert done.returncode == 2, argv
+            assert done.stdout == ""
+            assert done.stderr.endswith("charge 1.7e+308 is too large: |q|*pi is not a finite float\n"), done.stderr
+            assert "Warning" not in done.stderr
 
     def test_generate_huge_charge_writes_angles_in_the_window(self, tmp_path):
         out = tmp_path / "f.orif"
