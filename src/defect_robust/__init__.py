@@ -34,7 +34,6 @@ from .core import (
     PeriodMode,
     canonicalize,
     estimate_charge,
-    path_robustness,
     winding,
     wrap_diff,
 )

@@ -11,7 +11,7 @@ import json
 import sys
 from fractions import Fraction
 
-from .core import PeriodMode, estimate_charge, path_robustness
+from .core import PeriodMode, estimate_charge
 from .errors import DefectRobustError
 from .experiments import (
     ORACLE_DENSITY,
@@ -24,6 +24,9 @@ from .experiments import (
 from .fieldio import read_field, write_field, write_report, write_scan, write_summary
 from .synthesis import DefectSpec, synth_defect_field
 from .templates import builtin_template
+
+# Not called: bench/tracing.py patches cli.path_robustness until the benchmark drops it (ROADMAP item 2).
+path_robustness = estimate_charge
 
 
 class _UsageError(Exception):
@@ -42,6 +45,13 @@ def _fraction(text: str) -> Fraction:
         raise argparse.ArgumentTypeError(f"invalid charge {text!r}") from None
 
 
+def _mode(text: str) -> PeriodMode:
+    try:
+        return PeriodMode.from_name(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
 def _pair(cast):
     def parse(text: str):
         parts = text.split(",")
@@ -56,7 +66,7 @@ def _int_list(text: str):
 
 
 def _add_mode(parser):
-    parser.add_argument("--mode", type=PeriodMode, default=PeriodMode.NEMATIC,
+    parser.add_argument("--mode", type=_mode, default=PeriodMode.NEMATIC,
                         metavar="{" + ",".join(m.value for m in PeriodMode) + "}")
 
 
@@ -125,7 +135,7 @@ def _cmd_charge(args) -> int:
 def _cmd_robustness(args) -> int:
     field = read_field(args.field)
     template = builtin_template(args.template)
-    estimate = path_robustness(field, template.boundary.translated(args.at))
+    estimate = estimate_charge(field, template.boundary.translated(args.at))
     print(f"robustness = {estimate.path_robustness:.17g}")
     print(f"min_edge = {estimate.min_edge[0]} -> {estimate.min_edge[1]}")
     print(f"normalized = {estimate.path_robustness / template.resolution:.17g}")

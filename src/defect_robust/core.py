@@ -18,7 +18,7 @@ exactly: reversed, it negates, except a tie, which reads -P/2 both ways.
 ``winding`` is the one place where the wrapped edge differences are summed
 and quantized and their per-edge robustness computed, for one path or many.
 The path-vertex axis comes first, so a batch of paths is an (nv, ...) array.
-``estimate_charge``, also named ``path_robustness``, is its one-path form.
+``estimate_charge`` is its one-path form.
 """
 from __future__ import annotations
 
@@ -277,7 +277,3 @@ def estimate_charge(field: OrientationField, path: LatticePath) -> ChargeEstimat
     per_edge.flags.writeable = False
     return ChargeEstimate(charge=Fraction(int(k), field.mode.periods_per_turn), raw_sum=float(raw),
                           residual=float(residual), per_edge=per_edge, path=path)
-
-
-#: The one estimator under the name of the robustness it reports.
-path_robustness = estimate_charge

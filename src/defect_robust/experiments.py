@@ -393,7 +393,7 @@ def _draw_centers(config: SweepConfig, template: Template, offset):
         uy = counter_uniform(derive_seed(config.base_seed, _STREAM_CENTER_Y, retry), idx) - 0.5
         centers[idx, 0] = (pcx + ux) * config.h
         centers[idx, 1] = (pcy + uy) * config.h
-        idx = idx[_on_grid_vertex(centers[idx, 0], centers[idx, 1], config.h, config.nx, config.ny)]
+        idx = idx[_on_grid_vertex(centers[idx, 0], centers[idx, 1], config.h)]
         if len(idx) == 0:
             return centers
     raise SweepFailure("could not draw a non-degenerate defect center in 100 retries")

@@ -72,14 +72,13 @@ def derive_seed(seed, *parts):
 
 @dataclass(frozen=True)
 class DefectSpec:
-    """Charge, center (in field length units), and global phase of a defect."""
+    """Charge (kept as given; ``synth_defect_field`` checks it), center (in field length units), and phase."""
 
     charge: Fraction
     center: tuple
     phase: float = 0.0
 
     def __post_init__(self):
-        object.__setattr__(self, "charge", Fraction(self.charge))
         object.__setattr__(self, "center", (float(self.center[0]), float(self.center[1])))
 
 
@@ -122,11 +121,10 @@ def _validate_amplitude(amplitude: float, mode: PeriodMode) -> float:
     return amplitude
 
 
-def _on_grid_vertex(cx, cy, h: float, nx: int, ny: int):
-    """Whether each center (x, y) lies exactly on an in-grid vertex, where the winding angle is undefined."""
-    ci = np.rint(cx / h)
-    cj = np.rint(cy / h)
-    return (ci * h == cx) & (cj * h == cy) & (ci >= 0) & (ci < nx) & (cj >= 0) & (cj < ny)
+def _on_grid_vertex(cx, cy, h: float):
+    """Whether each center (x, y) lies exactly on a lattice vertex, where the winding angle is undefined.
+    Every caller's centers lie inside the grid, so that vertex is a grid vertex."""
+    return (np.rint(cx / h) * h == cx) & (np.rint(cy / h) * h == cy)
 
 
 def synth_defect_field(
@@ -148,7 +146,7 @@ def synth_defect_field(
     cx, cy = spec.center
     if not (0.0 <= cx <= (nx - 1) * h and 0.0 <= cy <= (ny - 1) * h):
         raise ValueError(f"center {spec.center} outside grid extent")
-    if _on_grid_vertex(cx, cy, h, nx, ny):
+    if _on_grid_vertex(cx, cy, h):
         raise DegenerateCenter(f"center {spec.center} coincides with grid vertex ({round(cx / h)}, {round(cy / h)})")
 
     xs = np.arange(nx) * h - cx

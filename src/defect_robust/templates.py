@@ -38,22 +38,12 @@ def boundary_of_cells(cells) -> LatticePath:
     """Counterclockwise boundary cycle of a 4-connected, hole-free cell set.
 
     Cell (a, b) is the unit square [a, a+1] x [b, b+1].  The cycle starts at
-    the lexicographically smallest boundary vertex.
+    the lexicographically smallest boundary vertex.  The one region test: the
+    boundary faces form one cycle through distinct vertices, else InvalidCellSet.
     """
     cells = {(int(a), int(b)) for a, b in cells}
     if not cells:
         raise InvalidCellSet("empty cell set")
-
-    seen = {next(iter(cells))}
-    stack = [next(iter(seen))]
-    while stack:
-        a, b = stack.pop()
-        for nb in ((a + 1, b), (a - 1, b), (a, b + 1), (a, b - 1)):
-            if nb in cells and nb not in seen:
-                seen.add(nb)
-                stack.append(nb)
-    if seen != cells:
-        raise InvalidCellSet("cell set is not 4-connected")
 
     # Boundary faces, oriented counterclockwise around their owning cell.
     succ = {}
@@ -66,7 +56,7 @@ def boundary_of_cells(cells) -> LatticePath:
         ):
             if neighbor not in cells:
                 if start in succ:
-                    raise InvalidCellSet(f"boundary pinches at vertex {start}")
+                    raise InvalidCellSet(f"not one 4-connected region without holes: pinch at vertex {start}")
                 succ[start] = end
 
     start = min(succ)
@@ -76,7 +66,7 @@ def boundary_of_cells(cells) -> LatticePath:
         cycle.append(v)
         v = succ[v]
     if len(cycle) != len(succ):
-        raise InvalidCellSet("cell set has a hole")
+        raise InvalidCellSet("not one 4-connected region without holes: boundary is not one cycle")
     return LatticePath(tuple(cycle))
 
 

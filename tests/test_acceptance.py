@@ -49,7 +49,6 @@ from defect_robust import (
     convergence_study,
     estimate_charge,
     normalize_and_rank,
-    path_robustness,
     run_sweep,
     synth_defect_field,
     theoretical_interval,
@@ -212,7 +211,7 @@ def test_criterion_6_stability_sharpness():
     trials = 0
     while trials < 1000:
         f = OrientationField.from_angles(rng.uniform(0, math.pi, (8, 8)), mode=NEM)
-        rep = path_robustness(f, square)
+        rep = estimate_charge(f, square)
         r = rep.path_robustness
         if r <= 0.05:
             continue

@@ -25,7 +25,6 @@ from defect_robust import (
     derive_seed,
     estimate_charge,
     normalize_and_rank,
-    path_robustness,
     run_sweep,
     synth_defect_field,
     theoretical_interval,
@@ -62,7 +61,7 @@ class TestAnalyticRobustness:
         for k, c in enumerate(centers):
             cx, cy = c[0] + off[0], c[1] + off[1]
             f = synth_defect_field(DefectSpec(charge=HALF, center=(cx, cy)), 16, 16)
-            rep = path_robustness(f, t.boundary.translated(off))
+            rep = estimate_charge(f, t.boundary.translated(off))
             assert r[k] == pytest.approx(rep.path_robustness, abs=1e-12)
 
     def test_square1_centroid_value(self):
@@ -75,10 +74,13 @@ class TestAnalyticRobustness:
     (Fraction(1, 2), PeriodMode.POLAR, "polar charge must be a multiple of 1, got 1/2"),
     ("1e400", NEM, "charge of about 1e400 is too large for a float"),
     ("1.7e308", NEM, r"charge 1.7e\+308 is too large: \|q\|\*pi is not a finite float"),
-], ids=["nematic-1/3", "polar-1/2", "1e400", "1.7e308"])
+    (math.inf, NEM, "invalid charge inf: "),
+    (math.nan, PeriodMode.POLAR, "invalid charge nan: "),
+], ids=["nematic-1/3", "polar-1/2", "1e400", "1.7e308", "inf", "nan"])
 def test_every_charge_entry_point_applies_one_rule(charge, mode, message):
     # analytic_path_robustness read a nematic 1/3 as 1/2 and returned [0.]; 1e400
-    # raised OverflowError from float(Fraction) in every other entry point
+    # raised OverflowError from float(Fraction) in every other entry point; a DefectSpec
+    # keeps its charge as given, so inf and nan reach the one rule as the other inputs do
     single = builtin_template("single")
     for call in (lambda: analytic_path_robustness(single, [(0.5, 0.5)], charge, mode),
                  lambda: theoretical_interval(single, charge, mode, oracle_density=3),
@@ -246,13 +248,13 @@ class TestRunSweep:
                 f = synth_defect_field(DefectSpec(charge=HALF,
                                                   center=(clean.center_x[i], clean.center_y[i])),
                                        32, 32)
-                assert path_robustness(f, path).path_robustness == clean.robustness[i]
-                assert float(estimate_charge(f, path).charge) == clean.charge[i]
+                est = estimate_charge(f, path)
+                assert (est.path_robustness, float(est.charge)) == (clean.robustness[i], clean.charge[i])
                 for r in range(cfg.n_noise_realizations):
                     g = add_noise(f, NoiseSpec(amplitude=0.2, seed=derive_seed(0, 3, i, r)))
                     j = i * cfg.n_noise_realizations + r
-                    assert path_robustness(g, path).path_robustness == noisy.robustness[j]
-                    assert float(estimate_charge(g, path).charge) == noisy.charge[j]
+                    est = estimate_charge(g, path)
+                    assert (est.path_robustness, float(est.charge)) == (noisy.robustness[j], noisy.charge[j])
 
     def test_centers_on_a_grid_vertex_are_redrawn(self, monkeypatch):
         # a first draw of 0.5 puts every centre on the 2x2 template's centroid, a grid vertex

@@ -503,9 +503,24 @@ class TestCli:
         assert main(["generate", "--charge", "1/2", "--center", "nope",
                      "--size", "8,8", "--out", "f"]) == 1
         assert main(["oracle", "--template", "single", "--charge", "1/2", "--mode", "circular"]) == 1
+        assert "unknown period mode 'circular'; expected 'nematic' or 'polar'" in capsys.readouterr().err
         for charge in ("abc", "1/0"):
             assert main(["oracle", "--template", "single", "--charge", charge]) == 1
             assert f"invalid charge '{charge}'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["generate", "--charge", "1", "--center", "3.4,2.3", "--size", "7,5", "--out", "f.orif"],
+        ["oracle", "--template", "cross", "--charge", "1", "--density", "20"],
+        ["convergence", "--charge", "1", "--sizes", "1,2", "--density", "20"],
+    ])
+    def test_mode_flag_parses_as_field_files_and_sweep_json_do(self, argv, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        outputs = set()
+        for mode in ("polar", "Polar", " POLAR "):
+            assert main([*argv, "--mode", mode]) == 0
+            written = (tmp_path / "f.orif").read_bytes() if argv[0] == "generate" else b""
+            outputs.add((capsys.readouterr().out, written))
+        assert len(outputs) == 1
 
     def test_data_errors_exit_2(self, tmp_path, capsys):
         assert main(["charge", "--field", str(tmp_path / "missing.orif"),

@@ -14,7 +14,6 @@ from defect_robust import (
     builtin_template,
     canonicalize,
     estimate_charge,
-    path_robustness,
     winding,
     wrap_diff,
 )
@@ -105,12 +104,10 @@ def test_charge_invariant_under_start_vertex(seed, mode):
 def test_reversal_negates_charge_keeps_robustness(seed, mode):
     f = _random_field(seed, mode=mode)
     reversed_square = LatticePath(SQUARE.vertices[::-1])
-    fwd_q = estimate_charge(f, SQUARE)
-    rev_q = estimate_charge(f, reversed_square)
-    assert rev_q.charge == -fwd_q.charge
-    fwd_r = path_robustness(f, SQUARE)
-    rev_r = path_robustness(f, reversed_square)
-    assert rev_r.path_robustness == fwd_r.path_robustness
+    fwd = estimate_charge(f, SQUARE)
+    rev = estimate_charge(f, reversed_square)
+    assert rev.charge == -fwd.charge
+    assert rev.path_robustness == fwd.path_robustness
 
 
 @settings(max_examples=40, deadline=None)
@@ -174,7 +171,7 @@ def _field_and_path(seed, mode, quarter):
     path = QUARTER_PATHS[quarter]
     for _ in range(100):
         f = OrientationField.from_angles(rng.integers(0, 4, (6, 6)) * (mode.period / 4), mode=mode)
-        if path_robustness(f, path).path_robustness > 0.0:
+        if estimate_charge(f, path).path_robustness > 0.0:
             break
     return f, path
 
@@ -185,7 +182,7 @@ def test_small_perturbations_cannot_change_charge(seed, pseed, mode, quarter):
     # stability: any per-vertex perturbation strictly below half the
     # robustness leaves the estimate unchanged
     f, path = _field_and_path(seed, mode, quarter)
-    rep = path_robustness(f, path)
+    rep = estimate_charge(f, path)
     if rep.path_robustness <= 1e-6:
         return
     eps = 0.49 * rep.path_robustness
@@ -200,7 +197,7 @@ def test_crossing_perturbation_flips_charge(seed, mode, quarter):
     # sharpness: pushing the weakest edge just past its nearest wrap
     # discontinuity changes the estimate by exactly one period P
     f, path = _field_and_path(seed, mode, quarter)
-    rep = path_robustness(f, path)
+    rep = estimate_charge(f, path)
     if rep.path_robustness <= 1e-6:
         return
     (i0, j0), (i1, j1) = rep.min_edge

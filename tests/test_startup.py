@@ -73,7 +73,7 @@ def test_public_names_are_unchanged():
         "RankReport", "SweepConfig", "SweepFailure", "SweepResult", "Template", "UnknownTemplate", "add_noise",
         "analytic_path_robustness", "boundary_of_cells", "builtin_template", "canonicalize", "center_offset",
         "convergence_study", "core", "counter_uniform", "derive_seed", "errors", "estimate_charge", "experiments",
-        "fieldio", "normalize_and_rank", "path_robustness", "read_field", "run_sweep", "synth_defect_field",
+        "fieldio", "normalize_and_rank", "read_field", "run_sweep", "synth_defect_field",
         "synthesis", "templates", "theoretical_interval", "winding", "wrap_diff", "write_field", "write_report",
         "write_summary",
     ]

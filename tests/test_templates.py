@@ -60,6 +60,43 @@ class TestBoundaryTracing:
             boundary_of_cells(set())
 
 
+def _four_connected(cells):
+    cells = set(cells)
+    seen, stack = set(), [min(cells)]
+    while stack:
+        a, b = stack.pop()
+        if (a, b) in cells and (a, b) not in seen:
+            seen.add((a, b))
+            stack += [(a + 1, b), (a - 1, b), (a, b + 1), (a, b - 1)]
+    return seen == cells
+
+
+def _one_region(cells):
+    """Reference rule, independent of the boundary walk: the set is non-empty and
+    4-connected, its complement in the box padded by one cell is 4-connected (no
+    hole), and no 2x2 window is a checkerboard (no two cells meet only at a corner)."""
+    box = {(a, b) for a in range(-1, 4) for b in range(-1, 4)}
+    checkerboard = any(((a, b) in cells) == ((a + 1, b + 1) in cells) != ((a + 1, b) in cells)
+                       == ((a, b + 1) in cells) for a in range(-1, 3) for b in range(-1, 3))
+    return bool(cells) and _four_connected(cells) and _four_connected(box - cells) and not checkerboard
+
+
+def test_boundary_walk_accepts_exactly_the_one_region_sets_of_a_3x3_grid():
+    grid = [(a, b) for b in range(3) for a in range(3)]
+    accepted = 0
+    for bits in range(512):
+        cells = {c for k, c in enumerate(grid) if bits >> k & 1}
+        if not _one_region(cells):
+            with pytest.raises(InvalidCellSet):
+                boundary_of_cells(cells)
+            continue
+        verts = np.asarray(boundary_of_cells(cells).vertices, float)
+        x, y = verts[:, 0], verts[:, 1]
+        assert float(np.sum(x * np.roll(y, -1) - np.roll(x, -1) * y)) == 2 * len(cells)
+        accepted += 1
+    assert accepted == 213
+
+
 class TestTemplate:
     def test_boundary_derives_from_cells(self):
         cells = [(0, 0), (1, 0), (2.0, 0), (0, 1)]
