@@ -15,9 +15,11 @@ the estimate.
 kernel that stays in its window.  A difference of two canonical angles wraps
 exactly: reversed, it negates, except a tie, which reads -P/2 both ways.
 
-``winding`` is the one place where the wrapped edge differences are summed
-and quantized and their per-edge robustness computed, for one path or many.
-The path-vertex axis comes first, so a batch of paths is an (nv, ...) array.
+``winding`` computes the wrapped edge differences of one path or many, then
+sums and quantizes them (``_quantize``, which also checks the residual) and
+takes their per-edge robustness (``_edge_robustness``).  The sweep calls
+those two steps on edge rows that co-centred templates share.  The
+path-vertex axis comes first, so a batch of paths is an (nv, ...) array.
 ``estimate_charge`` is its one-path form.
 """
 from __future__ import annotations
@@ -66,9 +68,11 @@ def _fold(x, mode: PeriodMode, low: float):
         raise InvalidAngle("non-finite angle")
     p = mode.period
     # A 0-d arr / p is a numpy scalar, which cannot take out=; empty_like keeps it an
-    # array.  Subtracting low / p (0.0 or -0.5) is exact: y, -0.0 kept, or 0.5 + y.
+    # array.  Subtracting low / p = -0.5 is exact, 0.5 + y; at low = 0 it would
+    # change no bit (-0.0 - 0.0 is -0.0), so that pass is skipped.
     out = np.divide(arr, p, out=np.empty_like(arr))
-    np.subtract(out, low / p, out=out)
+    if low:
+        np.subtract(out, low / p, out=out)
     np.floor(out, out=out)
     np.multiply(p, out, out=out)
     np.subtract(arr, out, out=out)
@@ -244,7 +248,6 @@ def winding(theta, mode: PeriodMode):
     QUANTIZATION_TOL.
     """
     theta = np.asarray(theta, dtype=float)
-    p = mode.period
     # Vertex-first, every pass runs over whole contiguous slabs, not row by row
     # over a short last axis.  The [:1] and [-1:] slices keep out= an array for
     # a 1-D path.
@@ -252,6 +255,16 @@ def winding(theta, mode: PeriodMode):
     np.subtract(theta[1:], theta[:-1], out=d[:-1])
     np.subtract(theta[:1], theta[-1:], out=d[-1:])
     d = wrap_diff(d, mode)
+    raw, k, residual = _quantize(d, mode)
+    return raw, k, residual, _edge_robustness(d, mode)
+
+
+def _quantize(d, mode: PeriodMode):
+    """``(raw_sum, k, residual)`` of ``winding`` from a path's wrapped edge
+    differences ``d``, an (nv, ...) array or a sequence of nv arrays, in path
+    order.  Raises QuantizationFailure if any |residual| reaches QUANTIZATION_TOL.
+    """
+    p = mode.period
     # Summed edge by edge: np.sum would add a 1-D path pairwise, so one path
     # alone and the same path in a batch would differ in the last bit.
     raw = d[0].copy()
@@ -262,9 +275,13 @@ def winding(theta, mode: PeriodMode):
     bad = np.abs(residual).max(initial=0.0)
     if bad >= QUANTIZATION_TOL:
         raise QuantizationFailure(f"winding residual {bad} above tolerance")
+    return raw, k.astype(np.int64), residual
+
+
+def _edge_robustness(d, mode: PeriodMode):
+    """Each edge's robustness P/2 - |d| from its wrapped difference ``d``, in place."""
     np.abs(d, out=d)
-    np.subtract(p / 2.0, d, out=d)
-    return raw, k.astype(np.int64), residual, d
+    return np.subtract(mode.period / 2.0, d, out=d)
 
 
 def estimate_charge(field: OrientationField, path: LatticePath) -> ChargeEstimate:

@@ -8,7 +8,9 @@ on how fast each edge's view angle changes proves that most tiles of the grid
 hold neither, and those tiles are skipped.
 Sweeps sample centers uniformly from the same square (counter-based on the
 base seed), optionally add uniform angle noise below P/2 per realization,
-and record per-sample winding count and robustness.
+and record per-sample winding count and robustness.  Templates whose squares
+coincide share one set of centers, and the sweep computes each of their path
+vertices' angles and each of their edges' wrapped differences once for all.
 
 Sample values are computed from the synthesis formulas evaluated at the path
 vertices only; because both the field and the noise are pointwise functions
@@ -24,8 +26,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .core import PeriodMode, _check_spacing, canonicalize, winding
-from .core import wrap_diff  # unused here, but bench/tracing.py patches experiments.wrap_diff
+from .core import PeriodMode, _check_spacing, _edge_robustness, _quantize, canonicalize, winding, wrap_diff
 from .errors import DefectRobustError, InvalidPath, SweepFailure
 from .synthesis import _on_grid_vertex, _validate_amplitude, _validate_charge, counter_uniform, derive_seed
 from .templates import BUILTIN_TEMPLATE_NAMES, Template, builtin_template, center_offset
@@ -378,14 +379,13 @@ def theoretical_interval(
     return IntervalEstimate(lower=lower, upper=upper, n_oracle_samples=n * n - n_on_vertex)
 
 
-def _draw_centers(config: SweepConfig, template: Template, offset):
-    """Uniform centers, (n_centers, 2), in the central unit square of ``template`` moved by ``offset``.
+def _draw_centers(config: SweepConfig, centre):
+    """Uniform centers, (n_centers, 2), in the unit square around ``centre`` (lattice units).
 
     Centers that land exactly on a grid vertex (where the winding field is
     undefined) are redrawn, up to 100 times per sample.
     """
-    pcx = template.centroid[0] + offset[0]
-    pcy = template.centroid[1] + offset[1]
+    pcx, pcy = centre
     centers = np.empty((config.n_centers, 2))
     idx = np.arange(config.n_centers)
     for retry in range(101):
@@ -397,6 +397,17 @@ def _draw_centers(config: SweepConfig, template: Template, offset):
         if len(idx) == 0:
             return centers
     raise SweepFailure("could not draw a non-degenerate defect center in 100 retries")
+
+
+def _edge_union(paths):
+    """The paths' vertices, each once; their distinct directed edges as
+    (tail, head) indices into those vertices; and each path's edges as
+    indices into the edges, in path order."""
+    vertex_index, edge_index, path_edges = {}, {}, []
+    for path in paths:
+        vs = [vertex_index.setdefault(v, len(vertex_index)) for v in path.vertices]
+        path_edges.append([edge_index.setdefault(e, len(edge_index)) for e in zip(vs, vs[1:] + vs[:1])])
+    return list(vertex_index), list(edge_index), path_edges
 
 
 def run_sweep(config: SweepConfig) -> SweepResult:
@@ -413,18 +424,27 @@ def run_sweep(config: SweepConfig) -> SweepResult:
     lies in [0, P/2), the range ``add_noise`` takes, so the samples match
     ``add_noise`` on the synthesized field; ``SweepConfig`` rejects any other.
 
+    Centers are drawn from the central square alone, so templates whose
+    central squares coincide (``single``, ``cross``, ``3x3`` and ``3x3ext``)
+    share one centers array, and at a vertex they share, one angle and one
+    noise draw per (center, realization).  The sweep therefore works per
+    central square: for each chunk of its centers it computes the clean
+    angles, the noise and each amplitude's noisy angles once over the union
+    of the templates' path vertices, and each wrapped difference once per
+    distinct directed edge.  Each template then sums its own edges' rows in
+    path order, as ``winding`` does, and takes the minimum of their
+    robustness, so its samples do not depend on the other templates.
+
     Centers are evaluated in chunks of ``_CHUNK_ELEMENTS`` /
-    (n_noise_realizations * n_vertices), so the intermediate arrays stay the
-    same size whatever ``n_centers``; only ``winding`` and ``robustness`` grow
-    per sample.  Each wrapped difference is at most P/2, so |k| <= nv/2, and
-    ``winding`` takes the smallest signed type holding that: 1 byte per sample
-    for every builtin template.
-    Each chunk's angles, noise and per-edge robustness are (vertices, centers,
-    realizations), vertex-first, so ``winding``'s sum and the minimum over
+    (n_noise_realizations * union vertices), so the intermediate arrays stay
+    the same size whatever ``n_centers``; only ``winding`` and ``robustness``
+    grow per sample.  Each wrapped difference is at most P/2, so |k| <= nv/2,
+    and ``winding`` takes the smallest signed type holding that: 1 byte per
+    sample for every builtin template.
+    Each chunk's angles, noise and per-edge robustness are (vertices or edges,
+    centers, realizations), vertex-first, so the sums and the minimum over
     edges run over whole contiguous (centers, realizations) slabs.
     """
-    blocks = {}
-    oracles = {}
     q = float(config.charge)
     nreal = config.n_noise_realizations
     noisy = any(a != 0.0 for a in config.noise_amplitudes)
@@ -432,35 +452,66 @@ def run_sweep(config: SweepConfig) -> SweepResult:
         seeds = derive_seed(config.base_seed, _STREAM_NOISE, np.arange(config.n_centers)[:, None],
                             np.arange(nreal)[None, :])
 
+    squares = {}
     for template in config.templates:
         offset = center_offset(template, config.nx, config.ny)
-        path = template.boundary.translated(offset)
-        verts = np.asarray(path.vertices, dtype=float) * config.h
-        vflat = np.array([j * config.nx + i for i, j in path.vertices])
-        centers = _draw_centers(config, template, offset)
-        centers.flags.writeable = False
+        centre = (template.centroid[0] + offset[0], template.centroid[1] + offset[1])
+        squares.setdefault(centre, []).append((template, template.boundary.translated(offset)))
 
-        # Per amplitude: k and robustness, shaped (n_centers, realizations).  The
-        # count type must hold +nv/2 as well: -(nv // 2) alone gives int8 at nv = 256.
-        k_type = np.min_scalar_type(-(len(vflat) // 2) - 1)
-        out = {a: (np.empty((config.n_centers, 1 if a == 0.0 else nreal), dtype=k_type),
-                   np.empty((config.n_centers, 1 if a == 0.0 else nreal)))
-               for a in config.noise_amplitudes}
+    samples = {}
+    for centre, members in squares.items():
+        centers = _draw_centers(config, centre)
+        centers.flags.writeable = False
+        vertices, union_edges, path_edges = _edge_union(path for _, path in members)
+        verts = np.asarray(vertices, dtype=float) * config.h
+        vflat = np.array([j * config.nx + i for i, j in vertices])
+
+        # Per template and amplitude: k and robustness, shaped (n_centers,
+        # realizations).  The count type must hold +nv/2 as well: -(nv // 2)
+        # alone gives int8 at nv = 256.
+        outs = []
+        for (template, _), edges in zip(members, path_edges):
+            k_type = np.min_scalar_type(-(len(edges) // 2) - 1)
+            out = {a: (np.empty((config.n_centers, 1 if a == 0.0 else nreal), dtype=k_type),
+                       np.empty((config.n_centers, 1 if a == 0.0 else nreal)))
+                   for a in config.noise_amplitudes}
+            samples[template.name] = centers, out
+            outs.append((edges, out))
         step = _centers_per_chunk(nreal * len(vflat))
         for start in range(0, config.n_centers, step):
             rows = slice(start, start + step)
-            theta_clean = _clean_vertex_angles(verts, centers[rows], q, config.mode)
+            theta_clean = _clean_vertex_angles(verts, centers[rows], q, config.mode)[:, :, None]
             if noisy:
-                noise = 2.0 * counter_uniform(seeds[None, rows, :], vflat[:, None, None]) - 1.0
-            for amplitude, (k_out, r_out) in out.items():
+                noise = counter_uniform(seeds[None, rows, :], vflat[:, None, None])
+                noise *= 2.0
+                noise -= 1.0
+                noisy_sum = np.empty_like(noise)
+            for amplitude in config.noise_amplitudes:
                 if amplitude == 0.0:
-                    theta = theta_clean[:, :, None]
+                    theta = theta_clean
                 else:
-                    theta = canonicalize(theta_clean[:, :, None] + amplitude * noise, config.mode)
-                _, k, _, per_edge = winding(theta, config.mode)
-                k_out[rows] = k
-                np.min(per_edge, axis=0, out=r_out[rows])
+                    np.multiply(noise, amplitude, out=noisy_sum)
+                    noisy_sum += theta_clean
+                    theta = canonicalize(noisy_sum, config.mode)
+                # Row by row, here and in the minimum: indexing with an array of
+                # rows copies them element by element, 2-3x slower.
+                d = np.empty((len(union_edges),) + theta.shape[1:])
+                for e, (tail, head) in enumerate(union_edges):
+                    np.subtract(theta[head], theta[tail], out=d[e])
+                d = wrap_diff(d, config.mode)
+                for edges, out in outs:
+                    out[amplitude][0][rows] = _quantize([d[e] for e in edges], config.mode)[1]
+                r = _edge_robustness(d, config.mode)
+                for edges, out in outs:
+                    r_out = out[amplitude][1][rows]
+                    np.minimum(r[edges[0]], r[edges[1]], out=r_out)
+                    for e in edges[2:]:
+                        np.minimum(r_out, r[e], out=r_out)
 
+    blocks = {}
+    oracles = {}
+    for template in config.templates:
+        centers, out = samples[template.name]
         for amplitude, (k, robustness) in out.items():
             blocks[(template.name, float(amplitude))] = SampleBlock(
                 template=template.name,
@@ -471,7 +522,6 @@ def run_sweep(config: SweepConfig) -> SweepResult:
                 winding=k.reshape(-1),
                 robustness=robustness.reshape(-1),
             )
-
         oracles[template.name] = theoretical_interval(template, config.charge, config.mode, config.oracle_density)
 
     return SweepResult(config=config, blocks=blocks, oracles=oracles)

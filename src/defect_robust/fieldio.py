@@ -7,13 +7,15 @@ are written with 17 significant digits, so write/read round-trips are exact.
 The sweep report CSV writes its floats the same way, ``%.17g``, so every
 value parses back to the sample bit for bit.  Each distinct text is made
 once: the sample-index column once per report (each block's is a prefix of
-the longest one's), each centre's text once per template (a row repeats it
-once per noise realization), and the charge of each winding count from a
-block's least to its greatest once per block.  These cached parts carry
-their trailing comma and lose their all-NUL columns.  ``_CHUNK_ROWS`` rows
-at a time are built as one uint8 matrix, with NUL in the bytes a row's text
-leaves out: the cached parts' rows, and the robustness and normalized
-robustness texts from one kernel call for both columns.  The matrix is
+the longest one's), each centre's text once per run of blocks that share a
+centers array (a sweep's co-centred templates share one, so on the builtins
+it is made twice; a row repeats it once per noise realization), and the
+charge of each winding count from a block's least to its greatest once per
+block.  These cached parts carry their trailing comma and lose their
+all-NUL columns.  ``_CHUNK_ROWS`` rows at a time are built as one uint8
+matrix, with NUL in the bytes a row's text leaves out: the cached parts'
+rows, and the robustness and normalized robustness texts from one kernel
+call for both columns.  The matrix is
 written as one block with the NULs dropped.  The scan CSV has one row of
 ``SCAN_COLUMNS`` per placement with a defect.
 
@@ -58,7 +60,7 @@ SCAN_COLUMNS = ("offset_i", "offset_j", "center_x", "center_y", "charge", "robus
 _CHUNK_ROWS = 1 << 12
 
 #: Statistics of the robustness and the normalized robustness in the summary.
-_SUMMARY_STATS = (("min", np.min), ("max", np.max), ("mean", np.mean), ("stddev", np.std))
+_SUMMARY_STATS = ("min", "max", "mean", "stddev")
 
 #: The values ``_g17`` formats in numpy; ``%.17g`` writes them in fixed
 #: notation with a decimal exponent X in [-4, 15] (the double 1e-4 is above
@@ -319,7 +321,7 @@ def write_report(result: SweepResult, path):
         fh.write((",".join(REPORT_COLUMNS) + "\n").encode())
         centers = None
         for block in blocks:
-            if block.centers is not centers:  # a template's blocks share one array
+            if block.centers is not centers:  # co-centred templates' blocks share one array
                 centers = block.centers
                 center_text = _trim(_hcat(len(centers), *_g17_parts(centers[:, 0]), b",",
                                           *_g17_parts(centers[:, 1]), b","))
@@ -373,8 +375,14 @@ def write_summary(result: SweepResult, rank: RankReport, path):
         for i, amp in enumerate(cfg.noise_amplitudes):
             block = result.block(template.name, amp)
             prefix = f"{template.name}.amplitude_{i}"
-            for name, values in (("robustness", block.robustness), ("normalized", block.normalized)):
-                items += [(f"{prefix}.{name}_{key}", float(stat(values))) for key, stat in _SUMMARY_STATS]
+            r, normalized = block.robustness, block.normalized
+            low, high = float(np.min(r)), float(np.max(r))
+            # Dividing by a positive constant keeps the order, so the normalized min
+            # and max are these over the resolution bit for bit, as in normalize_and_rank.
+            for name, stats in (("robustness", (low, high, np.mean(r), np.std(r))),
+                                ("normalized", (low / block.resolution, high / block.resolution,
+                                                np.mean(normalized), np.std(normalized)))):
+                items += [(f"{prefix}.{name}_{key}", float(stat)) for key, stat in zip(_SUMMARY_STATS, stats)]
             items.append((f"{prefix}.charge_agreement", float(result.agreement(template.name, amp))))
             items.append((f"{prefix}.n_samples", len(block.robustness)))
     for i, amp in enumerate(cfg.noise_amplitudes):

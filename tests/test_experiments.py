@@ -193,6 +193,23 @@ def _small_config(**kw):
     return SweepConfig(**defaults)
 
 
+def _centre_square(template):
+    """The centre of the unit square a sweep on a 32 x 32 grid draws ``template``'s centers from."""
+    offset = center_offset(template, 32, 32)
+    return template.centroid[0] + offset[0], template.centroid[1] + offset[1]
+
+
+def _union_chunk(names, n_noise_realizations):
+    """Centers per chunk of a sweep of ``names`` on a 32 x 32 grid, for the
+    templates that share the first one's centre square: the chunk budget
+    counts their union of path vertices."""
+    templates = [builtin_template(n) for n in names]
+    square = _centre_square(templates[0])
+    vertices = {v for t in templates if _centre_square(t) == square
+                for v in t.boundary.translated(center_offset(t, 32, 32)).vertices}
+    return _centers_per_chunk(n_noise_realizations * len(vertices))
+
+
 class TestRunSweep:
     def test_block_shapes_and_determinism(self):
         cfg = _small_config()
@@ -231,30 +248,61 @@ class TestRunSweep:
 
     def test_matches_public_field_pipeline(self):
         # sweeping via path-vertex evaluation equals synthesizing the field,
-        # adding noise, and measuring -- bit for bit, also on both sides of a
-        # centre-chunk edge and at the last centre of a partial chunk
-        most = max(BUILTIN_TEMPLATE_NAMES, key=lambda n: len(builtin_template(n).boundary.vertices))
-        chunk = _centers_per_chunk(3 * len(builtin_template(most).boundary.vertices))
+        # adding noise, and measuring -- bit for bit, also for every template
+        # of a sweep that shares its vertices and edges between templates, on
+        # both sides of each edge of the shared centre square's chunks and at
+        # the last centre of a partial chunk
+        names = BUILTIN_TEMPLATE_NAMES + ("square(5)",)
+        chunk = _union_chunk(names, 3)
         n_last = 2 * chunk + 5
-        for name, n_centers, indices in (("cross", 4, range(4)),
-                                         (most, n_last, (0, chunk - 1, chunk, n_last - 1))):
-            cfg = _small_config(templates=(name,), n_centers=n_centers)
+        for templates, n_centers, indices in ((("cross",), 4, range(4)),
+                                              (names, n_last, (0, chunk - 1, chunk, 2 * chunk - 1, 2 * chunk,
+                                                               n_last - 1))):
+            cfg = _small_config(templates=templates, n_centers=n_centers)
             res = run_sweep(cfg)
-            t = res.config.templates[0]
-            path = t.boundary.translated(center_offset(t, 32, 32))
-            clean = res.block(name, 0.0)
-            noisy = res.block(name, 0.2)
-            for i in indices:
-                f = synth_defect_field(DefectSpec(charge=HALF,
-                                                  center=(clean.center_x[i], clean.center_y[i])),
-                                       32, 32)
-                est = estimate_charge(f, path)
-                assert (est.path_robustness, float(est.charge)) == (clean.robustness[i], clean.charge[i])
-                for r in range(cfg.n_noise_realizations):
-                    g = add_noise(f, NoiseSpec(amplitude=0.2, seed=derive_seed(0, 3, i, r)))
-                    j = i * cfg.n_noise_realizations + r
-                    est = estimate_charge(g, path)
-                    assert (est.path_robustness, float(est.charge)) == (noisy.robustness[j], noisy.charge[j])
+            for t in res.config.templates:
+                path = t.boundary.translated(center_offset(t, 32, 32))
+                clean = res.block(t.name, 0.0)
+                noisy = res.block(t.name, 0.2)
+                for i in indices:
+                    f = synth_defect_field(DefectSpec(charge=HALF,
+                                                      center=(clean.center_x[i], clean.center_y[i])),
+                                           32, 32)
+                    est = estimate_charge(f, path)
+                    assert (est.path_robustness, float(est.charge)) == (clean.robustness[i], clean.charge[i])
+                    for r in range(cfg.n_noise_realizations):
+                        g = add_noise(f, NoiseSpec(amplitude=0.2, seed=derive_seed(0, 3, i, r)))
+                        j = i * cfg.n_noise_realizations + r
+                        est = estimate_charge(g, path)
+                        assert (est.path_robustness, float(est.charge)) == (noisy.robustness[j], noisy.charge[j])
+
+    @pytest.mark.parametrize("mode, charge", [(NEM, HALF), (PeriodMode.POLAR, -1)])
+    def test_a_templates_samples_do_not_depend_on_the_other_templates(self, mode, charge):
+        # square(5) shares the centre square of single, cross, 3x3 and 3x3ext
+        # (and 3x3ext's arm tips); 2x2 and square(4) each have their own
+        names = BUILTIN_TEMPLATE_NAMES + ("square(5)", "square(4)")
+        chunk = _union_chunk(names, 3)
+        n_centers = 2 * chunk + chunk // 2 + 1
+        assert n_centers < _union_chunk(("2x2",), 3)  # the 2x2 square is one chunk
+
+        def sweep(templates):
+            return run_sweep(SweepConfig(templates=templates, n_centers=n_centers, noise_amplitudes=(0.0, 0.3),
+                                         n_noise_realizations=3, mode=mode, charge=charge, oracle_density=3))
+
+        together = sweep(names)
+        squares = {}
+        for t in together.config.templates:
+            alone = sweep((t.name,))
+            for amplitude in (0.0, 0.3):
+                blk, ref = together.block(t.name, amplitude), alone.block(t.name, amplitude)
+                for field in ("winding", "robustness", "centers"):
+                    assert np.array_equal(getattr(blk, field), getattr(ref, field)), (t.name, amplitude, field)
+                # co-centred templates share one centers array
+                assert blk.centers is squares.setdefault(_centre_square(t), blk.centers)
+        assert len({id(c) for c in squares.values()}) == len(squares) == 3
+        shared = together.block("single", 0.0).centers
+        assert [n for n in names if together.block(n, 0.0).centers is shared] == [
+            "single", "cross", "3x3", "3x3ext", "square(5)"]
 
     def test_centers_on_a_grid_vertex_are_redrawn(self, monkeypatch):
         # a first draw of 0.5 puts every centre on the 2x2 template's centroid, a grid vertex

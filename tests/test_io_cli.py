@@ -1,5 +1,6 @@
 """ORIFIELD round trips, report/summary files, CLI exit codes."""
 import dataclasses
+import hashlib
 import math
 import re
 import subprocess
@@ -485,6 +486,25 @@ class TestCli:
                      "--summary", str(s2)]) == 0
         assert r1.read_bytes() == r2.read_bytes()
         assert s1.read_bytes() == s2.read_bytes()
+
+    @pytest.mark.parametrize("config, report_sha256, summary_sha256", [
+        ('{"n_centers": 300, "noise_amplitudes": [0.0, 0.2]}',
+         "6cb9815492ffcc75cd60ac37aba0b63f4e35f16f8483f61b3843e80e594e1fac",
+         "71b3e38c2c14f9afb5c7e5edae4a58e6257a436c4a8239fbd5848fc76c2a56a8"),
+        ('{"n_centers": 300, "noise_amplitudes": [0.0, 0.5], "mode": "polar", "charge": -1}',
+         "767fca0178f76f5c7cb91898510620c3c5e9ebb74e6039fca5eb5bd0098e98cc",
+         "82050b012239b76bb6ee77c45d4d11bf88ef7b7cf466b89679d573dd939e23ec"),
+    ], ids=["nematic", "polar"])
+    def test_sweep_bytes_are_pinned(self, config, report_sha256, summary_sha256, tmp_path, capsys):
+        # every builtin template at seed 101: any changed byte of either file
+        # fails.  The digests were taken with numpy 2.4 on an x86-64 CPU with
+        # AVX-512, whose arctan2 differs from libm's in the last bit of some
+        # angles; an arctan2 that rounds otherwise writes other bytes.
+        cfg, rpt, summ = tmp_path / "c.json", tmp_path / "r.csv", tmp_path / "s.txt"
+        cfg.write_text(config)
+        assert main(["--seed", "101", "sweep", "--config", str(cfg), "--out", str(rpt), "--summary", str(summ)]) == 0
+        assert hashlib.sha256(rpt.read_bytes()).hexdigest() == report_sha256
+        assert hashlib.sha256(summ.read_bytes()).hexdigest() == summary_sha256
 
     def test_seed_flag_equals_config_base_seed(self, tmp_path, capsys):
         base = '{"templates": ["single"], "n_centers": 20, "noise_amplitudes": [0.0, 0.2], "n_noise_realizations": 2'
