@@ -6,10 +6,11 @@ Orientation angles are identified modulo a period P: pi for nematic
 closed lattice path is the accumulated wrapped angle difference divided by
 2*pi; it is quantized to multiples of 1/2 (nematic) or integers (polar).
 
-The robustness of a charge estimate is the smallest distance, over path
+The robustness r of a charge estimate is the smallest distance, over path
 edges, of the edge's angle difference to the nearest wrap discontinuity
-P/2 + k*P.  It is the largest per-edge orientation change that cannot alter
-the estimate.
+P/2 + k*P: the largest change of any edge's difference that cannot alter the
+estimate.  Per vector the threshold is r/2, as a difference moves by up to
+twice its vectors' change; both are tight.  Every output prints r.
 
 ``canonicalize`` (into [0, P)) and ``wrap_diff`` (into [-P/2, P/2)) are one
 kernel that stays in its window.  A difference of two canonical angles wraps

@@ -12,9 +12,8 @@ and record per-sample winding count and robustness.  Templates whose squares
 coincide share one set of centers, and the sweep computes each of their path
 vertices' angles and each of their edges' wrapped differences once for all.
 
-Sample values are computed from the synthesis formulas evaluated at the path
-vertices only; because both the field and the noise are pointwise functions
-of (spec, vertex), this matches synthesizing the full grid bit for bit.
+Samples evaluate synthesis' pattern and noise law at the path vertices only;
+both are pointwise in (spec, vertex), so this matches the full grid bit for bit.
 Everything is a pure function of the config, so results are independent of
 parallelism and scheduling.
 """
@@ -28,7 +27,8 @@ import numpy as np
 
 from .core import PeriodMode, _check_spacing, _edge_robustness, _quantize, canonicalize, winding, wrap_diff
 from .errors import DefectRobustError, InvalidPath, SweepFailure
-from .synthesis import _on_grid_vertex, _validate_amplitude, _validate_charge, counter_uniform, derive_seed
+from .synthesis import (_on_grid_vertex, _validate_amplitude, _validate_charge, counter_uniform, defect_pattern,
+                        derive_seed, perturb, unit_noise)
 from .templates import BUILTIN_TEMPLATE_NAMES, Template, builtin_template, center_offset
 
 # Stream tags for sub-seed derivation.
@@ -251,19 +251,6 @@ class ConvergenceRow:
     analytic_lower_bound: float
 
 
-def _clean_vertex_angles(verts_xy: np.ndarray, centers_xy: np.ndarray, q: float, mode: PeriodMode):
-    """Winding-field angles at path vertices for a batch of centers.
-
-    ``verts_xy``: (nv, 2) vertex positions; ``centers_xy``: (..., 2).
-    Returns an (nv, ...) array, canonicalized, vertex-first as ``winding``
-    takes it.  Identical to sampling ``synth_defect_field`` at those vertices.
-    """
-    column = (-1,) + (1,) * (np.ndim(centers_xy) - 1)
-    dx = verts_xy[:, 0].reshape(column) - centers_xy[..., 0]
-    dy = verts_xy[:, 1].reshape(column) - centers_xy[..., 1]
-    return canonicalize(q * np.arctan2(dy, dx), mode)
-
-
 def _oracle_axis(center: float, density: int) -> np.ndarray:
     # Odd point count keeps the square boundary and its midpoint (the template
     # centroid) on-grid, where the extreme robustness values sit; grids nest
@@ -277,10 +264,11 @@ def analytic_path_robustness(template: Template, centers, q, mode: PeriodMode = 
 
     Vectorized over an (..., 2) array of centers in template coordinates.
     """
-    verts = np.asarray(template.boundary.vertices, dtype=float)
     centers = np.asarray(centers, dtype=float)
-    theta = _clean_vertex_angles(verts, centers, float(_validate_charge(q, mode)), mode)
-    return np.min(winding(theta, mode)[3], axis=0)
+    # (nv, 1, ...) vertex columns against the (...) centers: vertex-first, as winding takes it
+    x, y = np.asarray(template.boundary.vertices, dtype=float).T.reshape((2, -1) + (1,) * (centers.ndim - 1))
+    theta = defect_pattern(float(_validate_charge(q, mode)), x, y, centers[..., 0], centers[..., 1])
+    return np.min(winding(canonicalize(theta, mode), mode)[3], axis=0)
 
 
 def _tile_slack(verts: np.ndarray, q: float, x0, x1, y0, y1, xr, yr):
@@ -463,7 +451,7 @@ def run_sweep(config: SweepConfig) -> SweepResult:
         centers = _draw_centers(config, centre)
         centers.flags.writeable = False
         vertices, union_edges, path_edges = _edge_union(path for _, path in members)
-        verts = np.asarray(vertices, dtype=float) * config.h
+        x, y = np.asarray(vertices, dtype=float).T[:, :, None] * config.h
         vflat = np.array([j * config.nx + i for i, j in vertices])
 
         # Per template and amplitude: k and robustness, shaped (n_centers,
@@ -480,19 +468,15 @@ def run_sweep(config: SweepConfig) -> SweepResult:
         step = _centers_per_chunk(nreal * len(vflat))
         for start in range(0, config.n_centers, step):
             rows = slice(start, start + step)
-            theta_clean = _clean_vertex_angles(verts, centers[rows], q, config.mode)[:, :, None]
+            theta_clean = canonicalize(defect_pattern(q, x, y, *centers[rows].T), config.mode)[..., None]
             if noisy:
-                noise = counter_uniform(seeds[None, rows, :], vflat[:, None, None])
-                noise *= 2.0
-                noise -= 1.0
+                noise = unit_noise(counter_uniform(seeds[None, rows, :], vflat[:, None, None]))
                 noisy_sum = np.empty_like(noise)
             for amplitude in config.noise_amplitudes:
                 if amplitude == 0.0:
                     theta = theta_clean
                 else:
-                    np.multiply(noise, amplitude, out=noisy_sum)
-                    noisy_sum += theta_clean
-                    theta = canonicalize(noisy_sum, config.mode)
+                    theta = canonicalize(perturb(theta_clean, amplitude, noise, out=noisy_sum), config.mode)
                 # Row by row, here and in the minimum: indexing with an array of
                 # rows copies them element by element, 2-3x slower.
                 d = np.empty((len(union_edges),) + theta.shape[1:])

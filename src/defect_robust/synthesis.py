@@ -1,9 +1,10 @@
 """Prototypical defect fields and uniform angle noise.
 
-The defect field is the pure phase winding theta = q*atan2(y-cy, x-cx) + phase.
-Noise is counter-based: the perturbation at a grid vertex is a pure function
-of (seed, flattened vertex index), so results are independent of evaluation
-order and parallelism, and individual vertices can be evaluated in isolation.
+Each formula is written once here: the defect pattern (``defect_pattern``) and
+the noise law's two steps, unit variates 2u - 1 (``unit_noise``) and the noisy
+angles theta + a*v (``perturb``).  The fields, the sweep and the oracle call
+them.  Noise is counter-based: u at a grid vertex is a pure function of (seed,
+flattened vertex index), so any vertex can be evaluated in isolation.
 """
 from __future__ import annotations
 
@@ -134,7 +135,7 @@ def synth_defect_field(
     h: float = 1.0,
     mode: PeriodMode = PeriodMode.NEMATIC,
 ) -> OrientationField:
-    """Pure phase-winding field: theta(p) = q * atan2(p - center) + phase.
+    """Pure phase-winding field: ``defect_pattern`` at every grid vertex.
 
     The winding of the result about the center is exactly the requested
     charge.  The spacing ``h`` must be positive and finite, and the center
@@ -149,20 +150,28 @@ def synth_defect_field(
     if _on_grid_vertex(cx, cy, h):
         raise DegenerateCenter(f"center {spec.center} coincides with grid vertex ({round(cx / h)}, {round(cy / h)})")
 
-    xs = np.arange(nx) * h - cx
-    ys = np.arange(ny) * h - cy
-    phi = np.arctan2(ys[:, None], xs[None, :])
-    return OrientationField(h=h, mode=mode, angles=q * phi + spec.phase)
+    angles = defect_pattern(q, np.arange(nx) * h, np.arange(ny)[:, None] * h, cx, cy, spec.phase)
+    return OrientationField(h=h, mode=mode, angles=angles)
 
 
-def noise_offsets(noise: NoiseSpec, flat_indices):
-    """Angle perturbations at the given flattened vertex indices.
+def defect_pattern(q: float, x, y, cx, cy, phase: float = 0.0):
+    """The defect's angle q*atan2(y - cy, x - cx) + phase at positions (x, y)
+    about centres (cx, cy), which broadcast; not yet canonical."""
+    return q * np.arctan2(y - cy, x - cx) + phase
 
-    delta_i = amplitude * (2*u - 1) with u the counter-based uniform keyed by
-    (seed, i); pointwise evaluable, so partial grids match full-grid draws.
-    """
-    u = counter_uniform(noise.seed, np.asarray(flat_indices))
-    return noise.amplitude * (2.0 * u - 1.0)
+
+def unit_noise(u):
+    """The noise law's unit variates 2u - 1 in [-1, 1), from ``counter_uniform``'s u, in place."""
+    u *= 2.0
+    u -= 1.0
+    return u
+
+
+def perturb(theta, amplitude: float, v, out=None):
+    """The noisy angles theta + amplitude*v from unit variates ``v``, into ``out``; not yet canonical."""
+    out = np.multiply(v, amplitude, out=out)
+    out += theta
+    return out
 
 
 def add_noise(field: OrientationField, noise: NoiseSpec) -> OrientationField:
@@ -172,5 +181,5 @@ def add_noise(field: OrientationField, noise: NoiseSpec) -> OrientationField:
     Amplitudes at or above P/2 are rejected as wrap-degenerate.
     """
     _validate_amplitude(noise.amplitude, field.mode)
-    delta = noise_offsets(noise, np.arange(field.ny * field.nx)).reshape(field.ny, field.nx)
-    return field.with_angles(field.angles + delta)
+    v = unit_noise(counter_uniform(noise.seed, np.arange(field.ny * field.nx)))
+    return field.with_angles(perturb(field.angles, noise.amplitude, v.reshape(field.ny, field.nx)))

@@ -246,32 +246,35 @@ class TestRunSweep:
             assert np.all(np.abs(blk.center_x - cx0) <= 0.5)
             assert np.all(np.abs(blk.center_y - cy0) <= 0.5)
 
-    def test_matches_public_field_pipeline(self):
+    @pytest.mark.parametrize("mode, charge, amplitude", [(NEM, HALF, 0.2), (PeriodMode.POLAR, -1, 0.5)],
+                             ids=["nematic", "polar"])
+    def test_matches_public_field_pipeline(self, mode, charge, amplitude):
         # sweeping via path-vertex evaluation equals synthesizing the field,
         # adding noise, and measuring -- bit for bit, also for every template
         # of a sweep that shares its vertices and edges between templates, on
         # both sides of each edge of the shared centre square's chunks and at
-        # the last centre of a partial chunk
+        # the last centre of a partial chunk, in both modes
         names = BUILTIN_TEMPLATE_NAMES + ("square(5)",)
         chunk = _union_chunk(names, 3)
         n_last = 2 * chunk + 5
         for templates, n_centers, indices in ((("cross",), 4, range(4)),
                                               (names, n_last, (0, chunk - 1, chunk, 2 * chunk - 1, 2 * chunk,
                                                                n_last - 1))):
-            cfg = _small_config(templates=templates, n_centers=n_centers)
+            cfg = _small_config(templates=templates, n_centers=n_centers, noise_amplitudes=(0.0, amplitude),
+                                mode=mode, charge=charge)
             res = run_sweep(cfg)
             for t in res.config.templates:
                 path = t.boundary.translated(center_offset(t, 32, 32))
                 clean = res.block(t.name, 0.0)
-                noisy = res.block(t.name, 0.2)
+                noisy = res.block(t.name, amplitude)
                 for i in indices:
-                    f = synth_defect_field(DefectSpec(charge=HALF,
+                    f = synth_defect_field(DefectSpec(charge=charge,
                                                       center=(clean.center_x[i], clean.center_y[i])),
-                                           32, 32)
+                                           32, 32, mode=mode)
                     est = estimate_charge(f, path)
                     assert (est.path_robustness, float(est.charge)) == (clean.robustness[i], clean.charge[i])
                     for r in range(cfg.n_noise_realizations):
-                        g = add_noise(f, NoiseSpec(amplitude=0.2, seed=derive_seed(0, 3, i, r)))
+                        g = add_noise(f, NoiseSpec(amplitude=amplitude, seed=derive_seed(0, 3, i, r)))
                         j = i * cfg.n_noise_realizations + r
                         est = estimate_charge(g, path)
                         assert (est.path_robustness, float(est.charge)) == (noisy.robustness[j], noisy.charge[j])

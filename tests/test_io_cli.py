@@ -487,19 +487,28 @@ class TestCli:
         assert r1.read_bytes() == r2.read_bytes()
         assert s1.read_bytes() == s2.read_bytes()
 
-    @pytest.mark.parametrize("config, report_sha256, summary_sha256", [
+    @pytest.mark.parametrize("config, digests", [
         ('{"n_centers": 300, "noise_amplitudes": [0.0, 0.2]}',
-         "6cb9815492ffcc75cd60ac37aba0b63f4e35f16f8483f61b3843e80e594e1fac",
-         "71b3e38c2c14f9afb5c7e5edae4a58e6257a436c4a8239fbd5848fc76c2a56a8"),
+         {"avx512": ("6cb9815492ffcc75cd60ac37aba0b63f4e35f16f8483f61b3843e80e594e1fac",
+                     "71b3e38c2c14f9afb5c7e5edae4a58e6257a436c4a8239fbd5848fc76c2a56a8"),
+          "libm": ("de72c7b09b9910d8807b1a5f3c815e8b367d0160c96c864a02df5f4d82ea4d41",
+                   "bc471921e69cfcdb8fbe0a89c9a931c432903beef321f702369d746fd20ba638")}),
         ('{"n_centers": 300, "noise_amplitudes": [0.0, 0.5], "mode": "polar", "charge": -1}',
-         "767fca0178f76f5c7cb91898510620c3c5e9ebb74e6039fca5eb5bd0098e98cc",
-         "82050b012239b76bb6ee77c45d4d11bf88ef7b7cf466b89679d573dd939e23ec"),
+         {"avx512": ("767fca0178f76f5c7cb91898510620c3c5e9ebb74e6039fca5eb5bd0098e98cc",
+                     "82050b012239b76bb6ee77c45d4d11bf88ef7b7cf466b89679d573dd939e23ec"),
+          "libm": ("a8059da050a36c16b2319a45ec36b04eec8c00050d116a002c2ce8073b1dacb9",
+                   "df222e0ca97817aa48b91dc52f55caa756bfb65fe3bc14a0c26d72697f01af73")}),
     ], ids=["nematic", "polar"])
-    def test_sweep_bytes_are_pinned(self, config, report_sha256, summary_sha256, tmp_path, capsys):
+    def test_sweep_bytes_are_pinned(self, config, digests, tmp_path, capsys):
         # every builtin template at seed 101: any changed byte of either file
-        # fails.  The digests were taken with numpy 2.4 on an x86-64 CPU with
-        # AVX-512, whose arctan2 differs from libm's in the last bit of some
-        # angles; an arctan2 that rounds otherwise writes other bytes.
+        # fails.  The angles come from np.arctan2, whose last bit depends on
+        # the kernel numpy dispatches, so the digests are kept per kernel:
+        # "avx512" was taken with numpy 2.4's AVX-512 arctan2 and "libm" with
+        # NPY_DISABLE_CPU_FEATURES="X86_V4 AVX512_ICL AVX512_SPR", where
+        # np.arctan2 equals math.atan2.  (-5.0, 2.75) is a pair on which the
+        # two kernels differ; a kernel that rounds otherwise fails both sets.
+        kernel = "libm" if np.arctan2(-5.0, 2.75) == math.atan2(-5.0, 2.75) else "avx512"
+        report_sha256, summary_sha256 = digests[kernel]
         cfg, rpt, summ = tmp_path / "c.json", tmp_path / "r.csv", tmp_path / "s.txt"
         cfg.write_text(config)
         assert main(["--seed", "101", "sweep", "--config", str(cfg), "--out", str(rpt), "--summary", str(summ)]) == 0

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from defect_robust import (
+    BUILTIN_TEMPLATE_NAMES,
     LatticePath,
     OrientationField,
     PeriodMode,
@@ -191,6 +192,18 @@ def test_small_perturbations_cannot_change_charge(seed, pseed, mode, quarter):
     assert estimate_charge(g, path).charge == estimate_charge(f, path).charge
 
 
+def _push_weakest_edge(f, est, delta):
+    """``f`` with the weakest edge's head moved by ``delta`` toward its nearer
+    wrap point and its tail by ``delta`` away from it."""
+    (i0, j0), (i1, j1) = est.min_edge
+    d = wrap_diff(f.angles[j1, i1] - f.angles[j0, i0], f.mode)
+    step = delta if d >= 0 else -delta
+    angles = np.array(f.angles)
+    angles[j1, i1] += step
+    angles[j0, i0] -= step
+    return f.with_angles(angles)
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.integers(min_value=0, max_value=10_000), modes, families)
 def test_crossing_perturbation_flips_charge(seed, mode, quarter):
@@ -200,13 +213,54 @@ def test_crossing_perturbation_flips_charge(seed, mode, quarter):
     rep = estimate_charge(f, path)
     if rep.path_robustness <= 1e-6:
         return
-    (i0, j0), (i1, j1) = rep.min_edge
-    d = wrap_diff(f.angles[j1, i1] - f.angles[j0, i0], mode)
-    sign = 1.0 if d >= 0 else -1.0
-    bump = sign * (rep.path_robustness + 1e-9)
-    angles = np.array(f.angles)
-    angles[j1, i1] += bump / 2
-    angles[j0, i0] -= bump / 2
-    g = f.with_angles(angles)
+    g = _push_weakest_edge(f, rep, (rep.path_robustness + 1e-9) / 2)
     dq = estimate_charge(g, path).charge - estimate_charge(f, path).charge
     assert abs(dq) == Fraction(1, mode.periods_per_turn)
+
+
+#: The five builtins and square(4), each placed inside an 8x8 field.
+WITNESS_PATHS = tuple(builtin_template(n).boundary.translated((2, 2)) for n in BUILTIN_TEMPLATE_NAMES + ("square(4)",))
+
+
+def _witness_field(rng, mode, family, path):
+    """An 8x8 field of uniform random angles; of angles k*P/4 that step by -1, 0
+    or 1 quarter along ``path``, so its edges tie for the weakest at P/4
+    ("tie"); or of those with 60% moved by one ulp ("near-tie").  Redrawn (up
+    to 100 times) until the robustness on ``path`` exceeds 1e-6."""
+    p = mode.period
+    cols, rows = np.array(path.vertices).T
+    for _ in range(100):
+        if family == "random":
+            angles = rng.uniform(0, p, (8, 8))
+        else:
+            k = rng.integers(0, 4, (8, 8))
+            k[rows, cols] = np.cumsum(rng.integers(-1, 2, len(cols)))
+            angles = k * (p / 4)
+            if family == "near-tie":
+                nudged = np.nextafter(angles, rng.choice([-np.inf, np.inf], (8, 8)))
+                angles = np.where(rng.random((8, 8)) < 0.6, nudged, angles)
+        f = OrientationField.from_angles(angles, mode=mode)
+        if estimate_charge(f, path).path_robustness > 1e-6:
+            return f
+    pytest.fail("no field with positive robustness in 100 draws")
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(min_value=0, max_value=2**32 - 1), modes, st.sampled_from(["random", "tie", "near-tie"]))
+def test_half_the_robustness_per_vector_is_tight(seed, mode, family):
+    # r bounds the change of one edge's difference, and a difference moves by
+    # up to twice its vectors' change, so r/2 per vector is the threshold:
+    # no move below it flips the charge, and the witness just above it does.
+    # Below r = 2e-9 the witness could also wrap a neighbouring edge back,
+    # hence the fields' r > 1e-6.
+    rng = np.random.default_rng(seed)
+    step = Fraction(1, mode.periods_per_turn)
+    for path in WITNESS_PATHS:
+        f = _witness_field(rng, mode, family, path)
+        est = estimate_charge(f, path)
+        r = est.path_robustness
+        assert abs(estimate_charge(_push_weakest_edge(f, est, r / 2 + 1e-9), path).charge - est.charge) == step
+        assert estimate_charge(_push_weakest_edge(f, est, r / 2 - 1e-9), path).charge == est.charge
+        for _ in range(5):
+            eta = rng.uniform(-1.0, 1.0, f.angles.shape) * (r / 2 - 1e-9)
+            assert estimate_charge(f.with_angles(f.angles + eta), path).charge == est.charge

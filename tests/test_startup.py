@@ -126,3 +126,26 @@ def test_blas_guard_finds_each_form():
 def test_package_calls_no_blas_routine():
     uses = {path.name: _blas_uses(path.read_text()) for path in sorted((SRC / "defect_robust").glob("*.py"))}
     assert not {name: u for name, u in uses.items() if u}
+
+
+def _arctan2_uses(source: str) -> list:
+    uses = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Attribute) and node.attr == "arctan2":
+            uses.append(f"line {node.lineno}: .arctan2")
+        elif isinstance(node, ast.ImportFrom):
+            uses += [f"line {node.lineno}: import {a.name}" for a in node.names if a.name == "arctan2"]
+    return uses
+
+
+def test_arctan2_guard_finds_each_form():
+    for source in ("np.arctan2(y, x)", "numpy.arctan2(y, x)", "f = np.arctan2", "from numpy import arctan2"):
+        assert _arctan2_uses(source), source
+    assert not _arctan2_uses("math.atan2(y, x)\nnp.arctan(t)")
+
+
+def test_package_calls_arctan2_once():
+    # every synthetic angle comes from synthesis.defect_pattern's one call, so
+    # an atan2 that gives the same bits on every machine replaces that call alone
+    uses = {path.name: _arctan2_uses(path.read_text()) for path in sorted((SRC / "defect_robust").glob("*.py"))}
+    assert [(name, len(u)) for name, u in uses.items() if u] == [("synthesis.py", 1)]

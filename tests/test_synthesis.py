@@ -18,7 +18,6 @@ from defect_robust import (
     estimate_charge,
     synth_defect_field,
 )
-from defect_robust.synthesis import noise_offsets
 
 NEM = PeriodMode.NEMATIC
 POL = PeriodMode.POLAR
@@ -127,7 +126,7 @@ class TestNoise:
         noise = NoiseSpec(amplitude=0.3, seed=21)
         g = add_noise(f, noise)
         idx = np.array([0, 17, 100, 255])
-        delta = noise_offsets(noise, idx)
+        delta = noise.amplitude * (2.0 * counter_uniform(noise.seed, idx) - 1.0)
         flat_f = f.angles.reshape(-1)
         flat_g = g.angles.reshape(-1)
         from defect_robust import canonicalize
