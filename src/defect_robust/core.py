@@ -110,9 +110,14 @@ def wrap_diff(delta, mode: PeriodMode):
     return _fold(delta, mode, -mode.period / 2.0)
 
 
-def _check_spacing(h: float) -> float:
+def _check_spacing(h: float, nx: int, ny: int) -> float:
+    """``h`` if it is positive and finite and so is the far corner (n - 1)*h of
+    an nx-by-ny grid, n the larger size; else ValueError."""
     if not (0 < h < math.inf):
         raise ValueError(f"grid spacing h must be positive and finite, got {h}")
+    if not (max(nx, ny) - 1) * h < math.inf:
+        raise ValueError(f"grid spacing h = {h} is too large for the {nx}x{ny} grid: "
+                         "its far corner (n - 1)*h is not finite")
     return h
 
 
@@ -134,7 +139,7 @@ class OrientationField:
         arr = np.asarray(self.angles, dtype=float)
         if arr.ndim != 2 or min(arr.shape) < 2:
             raise ValueError(f"angles must be a 2-D array of at least 2x2, got shape {arr.shape}")
-        _check_spacing(self.h)
+        _check_spacing(self.h, arr.shape[1], arr.shape[0])
         arr = np.ascontiguousarray(canonicalize(arr, self.mode))
         arr.flags.writeable = False
         object.__setattr__(self, "angles", arr)

@@ -127,7 +127,7 @@ class SweepConfig:
         for name, least in (("n_centers", 1), ("n_noise_realizations", 1), ("base_seed", None), ("nx", 2), ("ny", 2)):
             check(name, lambda v, least=least: _typed(v, int, "an integer", least))
         check("oracle_density", lambda v: _check_oracle_density(_typed(v, int, "an integer")))
-        check("h", lambda v: _check_spacing(float(_typed(v, (int, float), "a number"))))
+        check("h", lambda v: _check_spacing(float(_typed(v, (int, float), "a number")), self.nx, self.ny))
         check("mode", lambda v: v if isinstance(v, PeriodMode) else PeriodMode.from_name(_typed(v, str, "a mode name")))
         check("charge", lambda v: _validate_charge(_typed(v, (int, float, str, Fraction), "a charge"), self.mode))
         # Blocks are keyed by template name and amplitude value, so each must be

@@ -4,8 +4,9 @@ ORIFIELD v1: line 1 is ``ORIFIELD 1 <nx> <ny> <h> <mode>``, followed by ny
 lines of nx space-separated angles in radians (row 0 = lowest y).  Angles
 are written with 17 significant digits, so write/read round-trips are exact.
 
-The sweep report CSV writes its floats the same way, ``%.17g``, so every
-value parses back to the sample bit for bit.  Each distinct text is made
+The sweep report CSV writes its floats the same way, ``%.17g``, and its
+sample index as ``%d``, so every value parses back to the sample bit for
+bit.  Each distinct text is made
 once: the sample-index column once per report (each block's is a prefix of
 the longest one's), each centre's text once per run of blocks that share a
 centers array (a sweep's co-centred templates share one, so on the builtins
@@ -19,18 +20,19 @@ call for both columns.  The matrix is
 written as one block with the NULs dropped.  The scan CSV has one row of
 ``SCAN_COLUMNS`` per placement with a defect.
 
-Every float these writers put in a file takes its text from ``_g17`` (or
-``_g17_parts``, the same text as matrices to put side by side), which gives
-each value's ``'%.17g' % v`` text for a whole array at once.  For a positive
-value in [1e-4, 1e16), where ``%.17g`` uses fixed notation, it computes the
-text exactly in numpy: ``x * 10**(16 - X)`` as an unevaluated sum
-``hi + lo`` of two doubles (Dekker's error-free product; ``10**k`` is an
-exact double for k <= 22), rounded half to even to the 17-digit integer
-that correctly rounded ``%.17g`` prints.  Its digits are looked up four at
-a time, as 4-byte words, and the point, the leading zeros and the trailing
-zeros come from which table each word is read from, so no step works on
-single bytes.  Every other value (zero, negatives, subnormals, values
-outside that range, inf and nan) is formatted by Python.
+Float arrays take their text from ``_g17_parts``; lone floats (a field's
+``h``, a block's amplitude, the summary's values) and the sample index are
+written as ``%.17g`` and ``%d`` text by Python.  ``_g17_parts`` gives each
+value's ``'%.17g' % v`` text for a whole array at once, as matrices to put
+side by side.  For a positive value in [1e-4, 1e16), where ``%.17g`` uses
+fixed notation, it computes the text exactly in numpy: ``x * 10**(16 - X)``
+as an unevaluated sum ``hi + lo`` of two doubles (Dekker's error-free
+product; ``10**k`` is an exact double for k <= 22), rounded half to even to
+the 17-digit integer that correctly rounded ``%.17g`` prints.  Its digits
+are looked up four at a time, as 4-byte words, and the point, the leading
+zeros and the trailing zeros come from which table each word is read from,
+so no step works on single bytes.  Every other value (zero, negatives,
+subnormals, values outside that range, inf and nan) is formatted by Python.
 """
 from __future__ import annotations
 
@@ -62,7 +64,7 @@ _CHUNK_ROWS = 1 << 12
 #: Statistics of the robustness and the normalized robustness in the summary.
 _SUMMARY_STATS = ("min", "max", "mean", "stddev")
 
-#: The values ``_g17`` formats in numpy; ``%.17g`` writes them in fixed
+#: The values ``_g17_parts`` formats in numpy; ``%.17g`` writes them in fixed
 #: notation with a decimal exponent X in [-4, 15] (the double 1e-4 is above
 #: 10**-4).
 _G17_LOW, _G17_HIGH = 1e-4, 1e16
@@ -221,12 +223,6 @@ def _g17_parts(values) -> list:
     return [out]
 
 
-def _g17(values) -> np.ndarray:
-    """Each value's ``'%.17g' % v`` text as a row of a uint8 matrix, with NUL
-    in the bytes the text leaves out."""
-    return _hcat(np.size(values), *_g17_parts(values))
-
-
 def _trim(matrix: np.ndarray) -> np.ndarray:
     """A text matrix without its all-NUL columns."""
     return matrix.compress(matrix.any(axis=0), axis=1)
@@ -260,14 +256,10 @@ def _text(matrix: np.ndarray) -> bytes:
     return matrix.tobytes().replace(b"\0", b"")
 
 
-def _fmt(x: float) -> str:
-    return _text(_g17(x)).decode()
-
-
 def write_field(field: OrientationField, path):
     ny, nx = field.angles.shape
     with open(path, "wb") as fh:
-        fh.write(f"{_MAGIC} {_VERSION} {nx} {ny} {_fmt(field.h)} {field.mode.value}\n".encode())
+        fh.write(f"{_MAGIC} {_VERSION} {nx} {ny} {field.h:.17g} {field.mode.value}\n".encode())
         rows = _hcat(ny * nx, *_g17_parts(field.angles), b" ").reshape(ny, nx, -1)
         rows[:, -1, -1] = ord("\n")
         fh.write(_text(rows))
@@ -283,7 +275,7 @@ def read_field(path) -> OrientationField:
         raise ParseError(f"{path}: line 1: expected '{_MAGIC} {_VERSION} <nx> <ny> <h> <mode>'")
     try:
         nx, ny = int(header[2]), int(header[3])
-        h = _check_spacing(float(header[4]))
+        h = _check_spacing(float(header[4]), nx, ny)
         mode = PeriodMode.from_name(header[5])
     except ValueError as exc:
         raise ParseError(f"{path}: line 1: {exc}") from None
@@ -313,10 +305,10 @@ def read_field(path) -> OrientationField:
 def write_report(result: SweepResult, path):
     """Sweep samples as CSV, ordered by (template, amplitude, sample_index)."""
     blocks = [result.blocks[key] for key in sorted(result.blocks)]
-    # %.17g of an integer below 2**53 is its %d text, and each block's index
-    # column is a prefix of the longest one's
+    # each block's index column is a prefix of the longest one's
     longest = max((len(block.robustness) for block in blocks), default=0)
-    index_text = _trim(_hcat(longest, *_g17_parts(np.arange(longest)), b","))
+    index = np.arange(longest).astype(np.bytes_)
+    index_text = _trim(_hcat(longest, index.view(np.uint8).reshape(longest, index.itemsize), b","))
     with open(path, "wb") as fh:
         fh.write((",".join(REPORT_COLUMNS) + "\n").encode())
         centers = None
@@ -330,7 +322,7 @@ def write_report(result: SweepResult, path):
             low = int(block.winding.min(initial=0))
             counts = np.arange(low, int(block.winding.max(initial=0)) + 1)
             charge_text = _trim(_hcat(len(counts), *_g17_parts(counts / block.periods_per_turn), b","))
-            prefix = f"{block.template},{_fmt(block.amplitude)},".encode()
+            prefix = f"{block.template},{block.amplitude:.17g},".encode()
             robustness, normalized = block.robustness, block.normalized
             reps = len(robustness) // len(centers)
             for start in range(0, len(robustness), _CHUNK_ROWS):
@@ -387,8 +379,6 @@ def write_summary(result: SweepResult, rank: RankReport, path):
             items.append((f"{prefix}.n_samples", len(block.robustness)))
     for i, amp in enumerate(cfg.noise_amplitudes):
         items += [(f"ranking.amplitude_{i}.{pos}", entry.template) for pos, entry in enumerate(rank.ranking(amp), start=1)]
-    # the floats' text in one call: the kernel's cost is per call, not per value
-    texts = iter(_g17([value for _, value in items if isinstance(value, float)]))
     with open(path, "w") as fh:
-        fh.writelines(f"{key} = {_text(next(texts)).decode() if isinstance(value, float) else value}\n"
+        fh.writelines(f"{key} = {value:.17g}\n" if isinstance(value, float) else f"{key} = {value}\n"
                       for key, value in items)

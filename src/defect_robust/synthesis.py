@@ -138,11 +138,12 @@ def synth_defect_field(
     """Pure phase-winding field: ``defect_pattern`` at every grid vertex.
 
     The winding of the result about the center is exactly the requested
-    charge.  The spacing ``h`` must be positive and finite, and the center
+    charge.  The spacing ``h`` must be positive and finite, as must the far
+corner (n - 1)*h of the grid, n the larger size, and the center
     must lie inside the grid extent and off every grid vertex (the angle is
     undefined at the vertex itself).
     """
-    _check_spacing(h)
+    _check_spacing(h, nx, ny)
     q = float(_validate_charge(spec.charge, mode))
     cx, cy = spec.center
     if not (0.0 <= cx <= (nx - 1) * h and 0.0 <= cy <= (ny - 1) * h):

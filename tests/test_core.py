@@ -173,6 +173,13 @@ class TestOrientationField:
             OrientationField.from_angles(np.zeros((2, 2)), h=math.inf)
         with pytest.raises(ValueError):
             OrientationField.from_angles(np.zeros((1, 5)))
+        # the larger size sets the far corner: 8 - 1 = 7 steps of 1e308 overflow on a 2x8 grid too
+        for shape in ((8, 8), (2, 8), (8, 2)):
+            with pytest.raises(ValueError, match="grid spacing h = 1e[+]308 is too large for the"):
+                OrientationField.from_angles(np.zeros(shape), h=1e308)
+        # the far corner 7e307 is finite
+        assert OrientationField.from_angles(np.zeros((8, 8)), h=1e307).h == 1e307
+        assert OrientationField.from_angles(np.zeros((2, 2)), h=1e308).h == 1e308
 
 
 class TestLatticePath:

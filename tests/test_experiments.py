@@ -394,7 +394,7 @@ class TestRunSweep:
     ("noise_amplitudes", (True,)), ("noise_amplitudes", (math.nan,)), ("noise_amplitudes", (math.inf,)),
     ("noise_amplitudes", (2.0,)),  # at or above P/2 = 1.571, as add_noise rejects it
     ("oracle_density", 1), ("mode", "circular"), ("charge", True),
-    ("h", math.inf), ("h", 0.0),
+    ("h", math.inf), ("h", 0.0), ("h", 1e308),  # the far corner 31e308 of the 32x32 grid overflows
     # one block per (template name, amplitude value)
     ("templates", ()), ("noise_amplitudes", ()),
     ("templates", ("2x2", "2x2")), ("templates", ("single", " SINGLE")), ("templates", (ELL, "cross", ELL)),

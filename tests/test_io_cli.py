@@ -31,7 +31,6 @@ from defect_robust import (
 )
 from defect_robust import fieldio
 from defect_robust.cli import main
-from defect_robust.fieldio import _fmt, _g17
 
 NEM = PeriodMode.NEMATIC
 
@@ -89,10 +88,9 @@ _TIES = [4938271560493825 / 2**2, 4938271560493827 / 2**2, 987654312098761 / 2**
 @example([0.0, -0.0, 5e-324, -5e-324, -0.5, -1e300, 1.5])
 @example([math.nan, -math.inf, 0.0])
 def test_g17_is_percent_17g(values):
-    text = _g17(np.array(values))
+    text = fieldio._hcat(len(values), *fieldio._g17_parts(np.array(values)))
     assert text.dtype == np.uint8 and text.shape[0] == len(values)
     assert [bytes(row[row != 0]).decode() for row in text] == ["%.17g" % v for v in values]
-    assert _fmt(values[0]) == "%.17g" % values[0]
 
 
 def test_g17_is_percent_17g_at_scale():
@@ -136,6 +134,19 @@ class TestFieldFormat:
         p = tmp_path / "f.orif"
         write_field(field, p)
         assert p.read_text().splitlines()[0] == "ORIFIELD 1 7 5 0.5 nematic"
+        # %.17g writes 1e-5 in exponent form
+        write_field(OrientationField(h=1e-5, mode=NEM, angles=field.angles), p)
+        assert p.read_text().splitlines()[0] == "ORIFIELD 1 7 5 1.0000000000000001e-05 nematic"
+        assert read_field(p).h == 1e-5
+
+    def test_spacing_whose_far_corner_overflows_names_line_1(self, tmp_path):
+        p = tmp_path / "big.orif"
+        rows = "".join("0 " * 7 + "0\n" for _ in range(8))
+        p.write_text("ORIFIELD 1 8 8 1e308 nematic\n" + rows)
+        with pytest.raises(ParseError, match=f"^{re.escape(str(p))}: line 1: grid spacing h = 1e[+]308 is too large"):
+            read_field(p)
+        p.write_text("ORIFIELD 1 8 8 1e307 nematic\n" + rows)
+        assert read_field(p).h == 1e307
 
     def test_bad_magic(self, tmp_path):
         p = tmp_path / "bad.orif"
@@ -239,10 +250,11 @@ class TestReportFiles:
 
         # every column parses back to the block's arrays bit for bit; cross and
         # 3x3 (resolutions sqrt(5) and 3) make robustness / resolution inexact,
-        # and noise 1.0 moves the charge both up and down.  Both template
-        # orders are unsorted, and the file is byte-equal to the reference.
+        # noise 1.0 moves the charge both up and down, and %.17g writes the
+        # amplitude 1e-5 in exponent form.  Both template orders are unsorted,
+        # and the file is byte-equal to the reference.
         cfg2 = SweepConfig(templates=("cross", "3x3"), n_centers=30,
-                           noise_amplitudes=(0.0, 1.0), n_noise_realizations=3)
+                           noise_amplitudes=(0.0, 1e-5, 1.0), n_noise_realizations=3)
         for cfg, res in ((cfg, res), (cfg2, run_sweep(cfg2))):
             write_report(res, rpt)
             assert rpt.read_bytes() == _report_reference(res)
@@ -554,8 +566,9 @@ class TestCli:
     def test_data_errors_exit_2(self, tmp_path, capsys):
         assert main(["charge", "--field", str(tmp_path / "missing.orif"),
                      "--template", "single", "--at", "0,0"]) == 2
-        # the spacing is checked before anything divides by it or scales the centre's range
-        for spacing, center in (("0", "0,0"), ("0", "7.4,7.3"), ("nan", "7.4,7.3")):
+        # the spacing is checked before anything divides by it or scales the centre's
+        # range; at 1e308 the grid's far corner 15e308 overflows
+        for spacing, center in (("0", "0,0"), ("0", "7.4,7.3"), ("nan", "7.4,7.3"), ("1e308", "7.4,7.3")):
             assert main(["generate", "--charge", "1/2", "--center", center, "--size", "16,16",
                          "--spacing", spacing, "--out", str(tmp_path / "g.orif")]) == 2
             assert "grid spacing h" in capsys.readouterr().err
@@ -573,6 +586,7 @@ class TestCli:
                             ('{"templates": ["single", 3]}', "'templates'"),
                             ('{"noise_amplitudes": [true]}', "'noise_amplitudes'"),
                             ('{"grid": {"h": Infinity}}', "spacing h"),
+                            ('{"grid": {"nx": 8, "ny": 8, "h": 1e308}}', "'h' = 1e+308: grid spacing h"),
                             # a global rotation changes no charge or robustness, so the
                             # sweep has no phase: the key is unknown
                             ('{"phase": Infinity}', "unknown key 'phase'"),

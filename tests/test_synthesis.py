@@ -98,6 +98,13 @@ class TestSynthField:
         d = (shifted.angles - base.angles) % p
         assert np.allclose(np.minimum(d, p - d), min(1.1 % p, p - 1.1 % p), atol=1e-12)
 
+    def test_spacing_whose_far_corner_overflows(self):
+        spec = DefectSpec(charge=Fraction(1, 2), center=(3.4, 3.3))
+        with pytest.raises(ValueError, match="grid spacing h = 1e[+]308 is too large for the 8x8 grid"):
+            synth_defect_field(spec, 8, 8, h=1e308)
+        f = synth_defect_field(DefectSpec(charge=Fraction(1, 2), center=(3.4e307, 3.3e307)), 8, 8, h=1e307)
+        assert f.h == 1e307 and np.isfinite(f.angles).all()
+
     def test_spacing_scales_geometry(self):
         f1 = synth_defect_field(DefectSpec(charge=Fraction(1, 2), center=(3.3, 3.4)), 8, 8, h=1.0)
         f2 = synth_defect_field(DefectSpec(charge=Fraction(1, 2), center=(6.6, 6.8)), 8, 8, h=2.0)
